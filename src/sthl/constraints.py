@@ -36,6 +36,7 @@ from sthl.dsl.nodes import (
     Rot,
     StringLit,
     Vec3,
+    expr_idents,
     referenced_idents,
 )
 from sthl.dsl.printer import print_assertion, print_expr
@@ -86,15 +87,30 @@ class ConstraintSet:
     bindings: dict[str, Expr] = field(default_factory=dict)
     #: object id -> region id used for the hidden boundary constraints.
     region_assignments: dict[str, str] = field(default_factory=dict)
+    # Index built once from `constraints`: id -> constraint, and each
+    # involved name -> the constraints naming it, in set order.
+    _by_id: dict[int, CompiledConstraint] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, tuple[CompiledConstraint, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_name: dict[str, list[CompiledConstraint]] = {}
+        for c in self.constraints:
+            for name in c.involved:
+                by_name.setdefault(name, []).append(c)
+        self._by_id = {c.id: c for c in self.constraints}
+        self._by_name = {name: tuple(cs) for name, cs in by_name.items()}
 
     def context(self, layout: scene.SceneLayout, rng_seed: int = 0) -> "EvalContext":
         return EvalContext(layout, self.bindings, rng_seed)
 
     def by_id(self, constraint_id: int) -> CompiledConstraint:
-        for c in self.constraints:
-            if c.id == constraint_id:
-                return c
-        raise KeyError(constraint_id)
+        return self._by_id[constraint_id]
+
+    def touching(self, name: str) -> tuple[CompiledConstraint, ...]:
+        """The constraints whose `involved` names `name`, in set order."""
+        return self._by_name.get(name, ())
 
 
 @dataclass
@@ -186,7 +202,7 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
                 id=len(constraints),
                 assertion=assertion,
                 provenance=PROVENANCE_EXPLICIT,
-                involved=frozenset(_involved(assertion)),
+                involved=frozenset(_involved(assertion, env)),
             )
         )
 
@@ -235,12 +251,23 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
     )
 
 
-def _involved(assertion: CompiledAssertion) -> set[str]:
+def _involved(assertion: CompiledAssertion, bindings: dict[str, Expr]) -> set[str]:
+    """Identifiers an assertion depends on, closed over variable bindings:
+    a variable bound to `a.pos.x` brings in `a`, transitively, and the
+    variable names themselves stay in the set."""
     if isinstance(assertion, NoCollision):
         return {assertion.first, assertion.second}
     if isinstance(assertion, Supported):
         return {assertion.name}
-    return referenced_idents(assertion)
+    names = referenced_idents(assertion)
+    pending = [name for name in names if name in bindings]
+    while pending:
+        for ident in expr_idents(bindings[pending.pop()]):
+            if ident not in names:
+                names.add(ident)
+                if ident in bindings:
+                    pending.append(ident)
+    return names
 
 
 def _freeze_assertion(node: Assertion, env: dict[str, Expr], rng: random.Random) -> Assertion:

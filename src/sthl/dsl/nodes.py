@@ -253,16 +253,17 @@ def referenced_idents(node: Assertion) -> set[str]:
     if isinstance(node, Not):
         return referenced_idents(node.operand)
     for expr in assertion_exprs(node):
-        idents |= _expr_idents(expr)
+        idents |= expr_idents(expr)
     return idents
 
 
-def _expr_idents(expr: Expr) -> set[str]:
+def expr_idents(expr: Expr) -> set[str]:
+    """All identifiers appearing in an expression (objects, regions, vars)."""
     if isinstance(expr, Name):
         return {expr.ident}
     if isinstance(expr, PropRef):
         return {expr.obj}
     out: set[str] = set()
     for child in expr_children(expr):
-        out |= _expr_idents(child)
+        out |= expr_idents(child)
     return out

@@ -31,7 +31,7 @@ from sthl.constraints import (
 from sthl.dsl import Program, parse, print_program, typecheck
 from sthl.errors import AssetMismatch, FormatError, IoError
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
-from sthl.solver import SolveReport, SolverConfig, render_report, solve
+from sthl.solver import SolveReport, SolverConfig, _context, render_report, solve
 
 SCHEMA_VERSION = 1
 
@@ -140,9 +140,7 @@ class ScenePackage:
         cs = compile_constraints(typed, seed=seed)
         layout = self.to_layout()
         ctx = cs.context(layout, rng_seed=seed)
-        return [
-            (c, evaluate(c, ctx)) for c in cs.constraints if object_id in c.involved
-        ]
+        return [(c, evaluate(c, ctx)) for c in cs.touching(object_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def _snap_supported(
 ) -> tuple[SceneLayout, tuple[str, ...]]:
     layout = layout.copy()
     reverted: list[str] = []
-    ctx = cs.context(layout, rng_seed=cfg.rng_seed)
+    ctx = _context(cs, layout, cfg)
     before = {c.id: evaluate(c, ctx) for c in cs.constraints}
     order = sorted(layout.objects, key=lambda o: (scene_mod.bottom_y(o), o.id))
     for obj in order:
@@ -255,7 +253,7 @@ def _snap_supported(
         original = obj.transform
         x, y, z = original.pos
         obj.transform = Transform((x, y + delta, z), original.rot, original.scale)
-        ctx = cs.context(layout, rng_seed=cfg.rng_seed)
+        ctx = _context(cs, layout, cfg)
         after = {c.id: evaluate(c, ctx) for c in cs.constraints}
         if any(before[cid] and not after[cid] for cid in before):
             obj.transform = original

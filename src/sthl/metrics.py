@@ -65,7 +65,10 @@ class ConfidenceMatrix:
 def harmonic_mean(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         return 0.0
-    return 2 * a * b / (a + b)
+    lo, hi = min(a, b), max(a, b)
+    # 2*lo scaled by a factor of at most 1, so h <= 2*min(a, b) holds after
+    # rounding too (2*a*b/(a+b) breaks it when a or b is subnormal).
+    return 2 * lo * (hi / (lo + hi))
 
 
 def scaled_dot(u: np.ndarray, v: np.ndarray) -> float:

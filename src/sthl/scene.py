@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -142,22 +143,36 @@ class SceneLayout:
         )
 
 
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+)
+
+
 @dataclass(frozen=True)
 class OrientedBox:
     center: Vec
     axes: tuple[Vec, Vec, Vec]  # world directions of local x, y, z
     half_extents: Vec
+    #: The 8 world-space corners in `corners()` order, computed once per box.
+    points: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    #: The distinct (x, z) floor-plane projections of the corners, in corner
+    #: order (4 for boxes turned about y only).
+    plan: tuple[Point2, ...] = field(init=False, repr=False, compare=False)
+    #: Axis-aligned bounds of the corners: (min_x, min_y, min_z, max_x, max_y, max_z).
+    bounds: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        offsets = (_CORNER_SIGNS * np.array(self.half_extents)) @ np.array(self.axes)
+        corners = np.array(self.center) + offsets
+        points = tuple(map(tuple, corners.tolist()))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "plan", tuple(dict.fromkeys((x, z) for x, _, z in points)))
+        bounds = corners.min(axis=0).tolist() + corners.max(axis=0).tolist()
+        object.__setattr__(self, "bounds", tuple(bounds))
 
     def corners(self) -> np.ndarray:
         """The 8 world-space corners, shape (8, 3)."""
-        c = np.array(self.center)
-        axes = np.array(self.axes)  # rows are local axes in world space
-        h = np.array(self.half_extents)
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return c + (signs * h) @ axes
+        return np.array(self.points)
 
     def volume(self) -> float:
         hx, hy, hz = self.half_extents
@@ -182,8 +197,7 @@ def rotation_matrix(rot: Vec) -> np.ndarray:
 
 @lru_cache(maxsize=65536)
 def _oriented_box(dimensions: Vec, scale: Vec, rot: Vec, pos: Vec) -> OrientedBox:
-    m = rotation_matrix(rot)
-    axes = (tuple(m[:, 0]), tuple(m[:, 1]), tuple(m[:, 2]))
+    axes = tuple(map(tuple, rotation_matrix(rot).T.tolist()))  # columns, as floats
     half = tuple(d * s / 2.0 for d, s in zip(dimensions, scale))
     return OrientedBox(pos, axes, half)  # type: ignore[arg-type]
 
@@ -198,10 +212,6 @@ def world_box(obj: SceneObject) -> OrientedBox:
 # Collision (separating axes)
 
 
-def _box_arrays(box: OrientedBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.array(box.center), np.array(box.axes), np.array(box.half_extents)
-
-
 def collision_margin(a: SceneObject, b: SceneObject) -> float:
     """Signed overlap between two objects' boxes.
 
@@ -214,45 +224,85 @@ def collision_margin(a: SceneObject, b: SceneObject) -> float:
 
 
 def collides(a: SceneObject, b: SceneObject) -> bool:
-    """True iff the boxes overlap with positive volume; face contact is not a collision."""
+    """True iff the boxes overlap with positive volume; face contact is not a collision.
+
+    Boxes whose axis-aligned bounds overlap by at most _EPS on some world
+    axis are rejected before the separating-axis test. The reject is exact:
+    the penetration depth never exceeds the overlap along any one axis.
+    """
+    ba, bb = world_box(a).bounds, world_box(b).bounds
+    if (
+        min(ba[3], bb[3]) - max(ba[0], bb[0]) <= _EPS
+        or min(ba[4], bb[4]) - max(ba[1], bb[1]) <= _EPS
+        or min(ba[5], bb[5]) - max(ba[2], bb[2]) <= _EPS
+    ):
+        return False
     return collision_margin(a, b) > _EPS
 
 
 def minimum_translation(a: SceneObject, b: SceneObject) -> tuple[float, np.ndarray]:
     """Penetration depth and the world direction that moves `b` off `a` fastest."""
     box_a, box_b = world_box(a), world_box(b)
-    margin, axis = _sat(box_a, box_b)
-    delta = np.array(box_b.center) - np.array(box_a.center)
-    if float(delta @ axis) < 0:
-        axis = -axis
-    return margin, axis
+    margin, (l0, l1, l2) = _sat(box_a, box_b)
+    (a0, a1, a2), (b0, b1, b2) = box_a.center, box_b.center
+    if ((b0 - a0) * l0 + (b1 - a1) * l1) + (b2 - a2) * l2 < 0:
+        return margin, np.array((-l0, -l1, -l2))
+    return margin, np.array((l0, l1, l2))
 
 
-def _sat(box_a: OrientedBox, box_b: OrientedBox) -> tuple[float, np.ndarray]:
-    ca, axes_a, ha = _box_arrays(box_a)
-    cb, axes_b, hb = _box_arrays(box_b)
-    t = cb - ca
+def _sat(box_a: OrientedBox, box_b: OrientedBox) -> tuple[float, Vec]:
+    """Separating-axis test of two oriented boxes (Gottschalk et al., OBBTree).
 
-    candidates = [axes_a[i] for i in range(3)] + [axes_b[i] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            cross = np.cross(axes_a[i], axes_b[j])
-            norm = float(np.linalg.norm(cross))
-            if norm > 1e-9:
-                candidates.append(cross / norm)
+    Tries the 3 face axes of each box, then the normalized cross product of
+    every pair of edge axes (skipping near-parallel pairs), and returns the
+    smallest overlap depth with its axis. It stops at the first axis that
+    separates the boxes by at least _EPS. Each projection is summed in a
+    fixed order; depths agree with a numpy formulation only up to rounding.
+    Where two candidate axes tie within rounding (equal half extents at a
+    yaw that is not a multiple of 90 degrees), either may be returned, or
+    its negation when the centers coincide along it.
+    """
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = box_a.axes
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = box_b.axes
+    ha0, ha1, ha2 = box_a.half_extents
+    hb0, hb1, hb2 = box_b.half_extents
+    (a0, a1, a2), (b0, b1, b2) = box_a.center, box_b.center
+    t0, t1, t2 = b0 - a0, b1 - a1, b2 - a2
 
     best_margin = math.inf
-    best_axis = candidates[0]
-    for axis in candidates:
-        ra = float(np.abs(axes_a @ axis) @ ha)
-        rb = float(np.abs(axes_b @ axis) @ hb)
-        depth = ra + rb - abs(float(t @ axis))
+    best_axis = box_a.axes[0]
+    for axis in _candidate_axes(box_a.axes, box_b.axes):
+        l0, l1, l2 = axis
+        ra = (
+            abs((p01 * l1 + p00 * l0) + p02 * l2) * ha0
+            + abs((p11 * l1 + p10 * l0) + p12 * l2) * ha1
+        ) + abs((p21 * l1 + p20 * l0) + p22 * l2) * ha2
+        rb = (
+            abs((q01 * l1 + q00 * l0) + q02 * l2) * hb0
+            + abs((q11 * l1 + q10 * l0) + q12 * l2) * hb1
+        ) + abs((q21 * l1 + q20 * l0) + q22 * l2) * hb2
+        depth = ra + rb - abs((t0 * l0 + t1 * l1) + t2 * l2)
         if depth < best_margin:
             best_margin = depth
             best_axis = axis
             if depth <= -_EPS:
                 break  # separated; no smaller margin needed
-    return best_margin, np.array(best_axis)
+    return best_margin, best_axis
+
+
+def _candidate_axes(axes_a: tuple[Vec, Vec, Vec], axes_b: tuple[Vec, Vec, Vec]):
+    """The 15 SAT candidates in order: faces of a, faces of b, then edge
+    cross products, computed only when the faces do not separate."""
+    yield from axes_a
+    yield from axes_b
+    for a0, a1, a2 in axes_a:
+        for b0, b1, b2 in axes_b:
+            c0 = a1 * b2 - a2 * b1
+            c1 = a2 * b0 - a0 * b2
+            c2 = a0 * b1 - a1 * b0
+            norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+            if norm > 1e-9:
+                yield (c0 / norm, c1 / norm, c2 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +361,6 @@ def distance_to_boundary(point: Point2, polygon: tuple[Point2, ...]) -> float:
 
 def point_in_polygon(point: Point2, polygon: tuple[Point2, ...], eps: float = _BOUNDARY_EPS) -> bool:
     """Winding-number membership; points within eps of the boundary count inside."""
-    if distance_to_boundary(point, polygon) <= eps:
-        return True
     winding = 0
     px, pz = point
     n = len(polygon)
@@ -324,10 +372,10 @@ def point_in_polygon(point: Point2, polygon: tuple[Point2, ...], eps: float = _B
                 winding += 1
         elif bz <= pz and (bx - ax) * (pz - az) - (px - ax) * (bz - az) < 0:
             winding -= 1
-    return winding != 0
+    return winding != 0 or distance_to_boundary(point, polygon) <= eps
 
 
-def convex_hull(points: np.ndarray) -> list[Point2]:
+def convex_hull(points: Iterable[Point2]) -> list[Point2]:
     """Monotone-chain hull of 2D points, counterclockwise."""
     pts = sorted({(float(x), float(z)) for x, z in points})
     if len(pts) <= 2:
@@ -387,8 +435,7 @@ def _line_intersect(p1: Point2, p2: Point2, a: Point2, b: Point2) -> Point2:
 
 def footprint(obj: SceneObject) -> list[Point2]:
     """Convex hull of the object's box projected onto the floor plane."""
-    corners = world_box(obj).corners()
-    return convex_hull(corners[:, [0, 2]])
+    return convex_hull(world_box(obj).plan)
 
 
 def polygon_area(polygon: list[Point2]) -> float:
@@ -409,22 +456,20 @@ def footprint_overlap(a: SceneObject, b: SceneObject) -> float:
 
 def inside(obj: SceneObject, region: Region) -> bool:
     """True iff all 8 box corners lie in the region's floor polygon and height band."""
-    corners = world_box(obj).corners()
+    box = world_box(obj)
     lo = region.floor_y - _BOUNDARY_EPS
     hi = region.floor_y + region.height + _BOUNDARY_EPS
-    if corners[:, 1].min() < lo or corners[:, 1].max() > hi:
+    if box.bounds[1] < lo or box.bounds[4] > hi:
         return False
-    return all(
-        point_in_polygon((float(x), float(z)), region.vertices) for x, z in corners[:, [0, 2]]
-    )
+    return all(point_in_polygon(point, region.vertices) for point in box.plan)
 
 
 def bottom_y(obj: SceneObject) -> float:
-    return float(world_box(obj).corners()[:, 1].min())
+    return world_box(obj).bounds[1]
 
 
 def top_y(obj: SceneObject) -> float:
-    return float(world_box(obj).corners()[:, 1].max())
+    return world_box(obj).bounds[4]
 
 
 def supported(obj: SceneObject, layout: SceneLayout, tolerance: float = SUPPORT_TOLERANCE) -> bool:

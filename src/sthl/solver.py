@@ -143,12 +143,16 @@ def initial_placement(
         key=lambda i: (-objects[i].extents()[0] * objects[i].extents()[2], i),
     )
     placed: dict[int, SceneObject] = {}
+    # Names a constraint may involve and still be scored for the object
+    # being placed: regions and the objects already in the layout.
+    known = {r.id for r in layout.regions}
 
     for index in order:
         obj = objects[index].copy()
         region = layout.region(obj.region)
         if obj.preplaced:
             layout.objects.append(obj)
+            known.add(obj.id)
             placed[index] = obj
             continue
         min_x, min_z, max_x, max_z = region.bounds()
@@ -163,17 +167,13 @@ def initial_placement(
 
         relevant = [
             c
-            for c in cs.constraints
-            if obj.id in c.involved
-            and all(
-                name == obj.id or name in {o.id for o in layout.objects} or
-                any(name == r.id for r in layout.regions)
-                for name in c.involved
-            )
+            for c in cs.touching(obj.id)
+            if all(name == obj.id or name in known for name in c.involved)
         ]
         best: tuple[int, int] | None = None  # (violations, candidate index)
         best_transform: Transform | None = None
         layout.objects.append(obj)
+        known.add(obj.id)
         for attempt in range(cfg.candidate_samples):
             ry = rng.choice(cfg.rotation_steps)
             rex, rey, rez = _rotated_extents(obj, ry)
@@ -317,9 +317,6 @@ def local_search_batch_solve(
     if not movable:
         return layout, moved
 
-    by_object: dict[str, list[CompiledConstraint]] = {
-        name: [c for c in cs.constraints if name in c.involved] for name in movable
-    }
     results = _results(cs, layout, cfg)
 
     for _ in range(cfg.moves_per_proposal):
@@ -330,7 +327,7 @@ def local_search_batch_solve(
         for obj_index, name in enumerate(movable):
             obj = layout.object(name)
             original = obj.transform
-            affected = by_object[name]
+            affected = cs.touching(name)
             before = sum(results[c.id] for c in affected)
             for cand_index, candidate in enumerate(_candidates(obj, layout, cfg, rng)):
                 obj.transform = candidate
@@ -373,15 +370,13 @@ def _rest_height(
     for other in layout.objects:
         if other.id == obj.id:
             continue
-        corners = scene.world_box(other).corners()
-        o_min_x, o_max_x = float(corners[:, 0].min()), float(corners[:, 0].max())
-        o_min_z, o_max_z = float(corners[:, 2].min()), float(corners[:, 2].max())
+        o_min_x, _, o_min_z, o_max_x, o_top, o_max_z = scene.world_box(other).bounds
         overlap_x = min(x + fx / 2.0, o_max_x) - max(x - fx / 2.0, o_min_x)
         overlap_z = min(z + fz / 2.0, o_max_z) - max(z - fz / 2.0, o_min_z)
         if overlap_x <= 0 or overlap_z <= 0:
             continue
         if overlap_x * overlap_z >= scene.SUPPORT_OVERLAP * own_area:
-            best = max(best, float(corners[:, 1].max()))
+            best = max(best, o_top)
     return best + ey / 2.0
 
 
@@ -476,8 +471,8 @@ def enforce_bounds(
 
 
 def _clamp_vertical(obj: SceneObject, region: Region) -> None:
-    corners = scene.world_box(obj).corners()
-    bottom, top = float(corners[:, 1].min()), float(corners[:, 1].max())
+    bounds = scene.world_box(obj).bounds
+    bottom, top = bounds[1], bounds[4]
     delta = 0.0
     if bottom < region.floor_y:
         delta = region.floor_y - bottom
@@ -493,7 +488,7 @@ def _clamp_horizontal(obj: SceneObject, region: Region) -> None:
     n = len(polygon)
     for _ in range(8):
         pushed = False
-        corners = scene.world_box(obj).corners()[:, [0, 2]]
+        corners = scene.world_box(obj).plan
         for i in range(n):
             ax, az = polygon[i]
             bx, bz = polygon[(i + 1) % n]
@@ -505,7 +500,7 @@ def _clamp_horizontal(obj: SceneObject, region: Region) -> None:
             worst = min((cx - ax) * nx + (cz - az) * nz for cx, cz in corners)
             if worst < -1e-12:
                 _translate(obj, (-worst * nx, 0.0, -worst * nz))
-                corners = scene.world_box(obj).corners()[:, [0, 2]]
+                corners = scene.world_box(obj).plan
                 pushed = True
         if not pushed:
             break
@@ -587,11 +582,10 @@ def render_report(
 ) -> str:
     """Human-readable solve report with the per-constraint verdict table."""
     cfg = cfg or SolverConfig()
-    lines = ["# sthl solve report"]
-    if cfg is not None:
-        lines.append(
-            f"config: seed={cfg.rng_seed} k={cfg.batch_size} T={cfg.max_iterations}"
-        )
+    lines = [
+        "# sthl solve report",
+        f"config: seed={cfg.rng_seed} k={cfg.batch_size} T={cfg.max_iterations}",
+    ]
     lines.append(f"terminated: {report.terminated}")
     lines.append(f"best: iteration={report.best_index} ratio={report.best_ratio!r}")
     for record in report.iterations:
@@ -602,7 +596,7 @@ def render_report(
             f"unsatisfied={len(record.unsatisfied)} batch={batch} moved={moved}"
         )
     lines.append("# constraints")
-    ctx = cs.context(report.best_layout, rng_seed=cfg.rng_seed)
+    ctx = _context(cs, report.best_layout, cfg)
     for constraint in cs.constraints:
         lines.append(format_verdict_line(constraint, evaluate(constraint, ctx)))
     return "\n".join(lines) + "\n"

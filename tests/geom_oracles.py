@@ -1,12 +1,18 @@
 """Brute-force geometry oracles: grid-sampling collision/containment and
 ray-casting point-in-polygon. Independent of the implementations under
-test (those use separating axes and winding numbers)."""
+test (those use separating axes and winding numbers). `sat_reference` is
+the numpy formulation of the separating-axis test that the scalar kernel
+in `sthl.scene` replaced, kept as the reference for differential tests."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from sthl.scene import SceneObject, Region, world_box
+from sthl.scene import OrientedBox, Region, SceneObject, world_box
+
+_EPS = 1e-9
 
 GRID = 0.01  # meters
 
@@ -91,3 +97,35 @@ def grid_inside(obj: SceneObject, region: Region) -> bool:
     if (pts[:, 1] < region.floor_y).any() or (pts[:, 1] > region.floor_y + region.height).any():
         return False
     return bool(raycast_many(pts[:, [0, 2]], region.vertices).all())
+
+
+def _box_arrays(box: OrientedBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.array(box.center), np.array(box.axes), np.array(box.half_extents)
+
+
+def sat_reference(box_a: OrientedBox, box_b: OrientedBox) -> tuple[float, np.ndarray]:
+    """(margin, axis) of the 15-axis separating-axis test, in numpy."""
+    ca, axes_a, ha = _box_arrays(box_a)
+    cb, axes_b, hb = _box_arrays(box_b)
+    t = cb - ca
+
+    candidates = [axes_a[i] for i in range(3)] + [axes_b[i] for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            cross = np.cross(axes_a[i], axes_b[j])
+            norm = float(np.linalg.norm(cross))
+            if norm > 1e-9:
+                candidates.append(cross / norm)
+
+    best_margin = math.inf
+    best_axis = candidates[0]
+    for axis in candidates:
+        ra = float(np.abs(axes_a @ axis) @ ha)
+        rb = float(np.abs(axes_b @ axis) @ hb)
+        depth = ra + rb - abs(float(t @ axis))
+        if depth < best_margin:
+            best_margin = depth
+            best_axis = axis
+            if depth <= -_EPS:
+                break  # separated; no smaller margin needed
+    return best_margin, np.array(best_axis)

@@ -371,3 +371,42 @@ def test_boundary_constraint_is_inside_pred():
     cs = compiled("region room; object a;")
     boundary = next(c for c in cs.constraints if c.provenance == "hidden-boundary")
     assert isinstance(boundary.assertion, InsidePred)
+
+
+# ---------------------------------------------------------------------------
+# Variable bindings and the constraint index
+
+
+def test_involved_closes_over_variable_bindings():
+    cs = compiled("region room; object a; Number w; w <- a.pos.x; assert w > 3;")
+    assert cs.constraints[0].involved == {"w", "a"}
+
+
+def test_involved_closes_over_bindings_transitively():
+    cs = compiled(
+        "region room; object a; object b; Number v; Number w;\n"
+        "w <- v * 2; v <- a.pos.x + b.pos.z; assert w > 3;"
+    )
+    assert cs.constraints[0].involved == {"w", "v", "a", "b"}
+
+
+def _index_matches_scans(cs) -> None:
+    names = set().union(*(c.involved for c in cs.constraints))
+    for name in names | {"nobody"}:
+        assert list(cs.touching(name)) == [c for c in cs.constraints if name in c.involved]
+    for c in cs.constraints:
+        assert cs.by_id(c.id) is c
+    with pytest.raises(KeyError):
+        cs.by_id(len(cs.constraints) + 100)
+
+
+def test_constraint_index_matches_linear_scans():
+    cs = compiled(
+        "region room; object a; object b; object c; Number w; w <- b.pos.y;\n"
+        "assert a.pos.x < c.pos.x; assert w > 1 || inside(a, room);\n"
+        "assert a.pos.x < c.pos.x; allowCollide(a, b);"
+    )
+    _index_matches_scans(cs)
+    deduped = dedupe_syntactic(cs)
+    assert len(deduped.constraints) < len(cs.constraints)
+    _index_matches_scans(deduped)

@@ -324,3 +324,56 @@ def test_resolve_region_unknown_region():
     pkg = two_room_package()
     with pytest.raises(KeyError):
         resolve_region(pkg, "attic")
+
+
+# ---------------------------------------------------------------------------
+# Snap re-checks
+
+
+def test_snap_reverted_when_a_variable_pins_the_height():
+    # As test_snap_reverted_when_constraint_would_flip, but the height is
+    # pinned through a variable, so the constraint names `h`, not `shelf`.
+    program = parse(
+        "region room;\n"
+        "room.pos <- vec3(5, 0, 5); room.scale <- vec3(10, 3, 10);\n"
+        "object cabinet; object shelf; Number h;\n"
+        "h <- shelf.pos.y;\n"
+        "assert h = 1.104;\n"
+    )
+    cs = compile_constraints(typecheck(program))
+    room = Region("room", ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)))
+    cabinet = SceneObject("cabinet", transform=Transform(pos=(5.0, 0.5, 5.0)), region="room")
+    shelf = SceneObject(
+        "shelf", transform=Transform(pos=(5.0, 1.104, 5.0), scale=(0.8, 0.2, 0.8)), region="room"
+    )
+    layout = SceneLayout(regions=[room], objects=[cabinet, shelf])
+    report = solve([cabinet, shelf], [room], cs, SolverConfig(max_iterations=0))
+    decisions = {o.id: decision_for(o.id) for o in layout.objects}
+    pkg = assemble(layout, decisions, cs, report, program)
+    assert "shelf" in pkg.snap_reverted
+
+
+def test_snap_reverted_when_it_would_unsupport_another_object():
+    # The cabinet floats 4 mm above the floor and the book 3 mm above the
+    # cabinet. Snapping the cabinet down would leave the book 7 mm above
+    # it, beyond the 5 mm support tolerance, so that snap is reverted and
+    # the book snaps onto the cabinet where it stands.
+    program = parse(
+        "region room;\n"
+        "room.pos <- vec3(5, 0, 5); room.scale <- vec3(10, 3, 10);\n"
+        "object cabinet; object book;\n"
+    )
+    cs = compile_constraints(typecheck(program))
+    room = Region("room", ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)))
+    cabinet = SceneObject("cabinet", transform=Transform(pos=(5.0, 0.504, 5.0)), region="room")
+    book = SceneObject(
+        "book", transform=Transform(pos=(5.0, 1.057, 5.0), scale=(0.3, 0.1, 0.2)), region="room"
+    )
+    layout = SceneLayout(regions=[room], objects=[cabinet, book])
+    report = solve([cabinet, book], [room], cs, SolverConfig(max_iterations=0))
+    decisions = {o.id: decision_for(o.id) for o in layout.objects}
+    pkg = assemble(layout, decisions, cs, report, program)
+    assert pkg.snap_reverted == ("cabinet",)
+    packed = {o.id: o.position[1] for o in pkg.objects}
+    assert packed["cabinet"] == pytest.approx(0.504)
+    assert packed["book"] == pytest.approx(1.054)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sthl.assets import AssetCandidate, AssetEntity, formulate_query, score_retrieval
 from sthl.constraints import compile_constraints, dedupe_syntactic
@@ -62,6 +62,7 @@ def test_score_is_convex_combination(visual, semantic, weight_v, weight_t):
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
+@example(a=0.375, b=5e-324)  # subnormal b: 2*a*b/(a+b) rounds above 2*b
 def test_harmonic_mean_bounds_and_annihilation(a, b):
     h = harmonic_mean(a, b)
     assert 0.0 <= h <= max(a, b) + 1e-12

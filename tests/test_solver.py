@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sthl.constraints import compile_constraints, evaluate_all
+from sthl.constraints import compile_constraints, evaluate, evaluate_all
 from sthl.dsl import parse, typecheck
 from sthl.errors import PlacementError
 from sthl.scene import Region, SceneLayout, SceneObject, Transform, collides, supported
@@ -381,3 +381,35 @@ def test_custom_batch_solver_slot():
     report = solve([obj("a")], [ROOM], cs, SolverConfig(rng_seed=2), batch_solver=null_solver)
     assert len(calls) == 5  # T iterations, nothing resolved
     assert report.terminated == "iterationLimit"
+
+
+# ---------------------------------------------------------------------------
+# Constraints reaching objects through variables; report contexts
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_constraint_through_a_variable_gets_repaired(seed):
+    source = "region room; object a; Number w; w <- a.pos.x; assert w > 3;"
+    typed = typecheck(parse(source))
+    from sthl.build import build_scene
+
+    built = build_scene(typed, seed=seed)
+    cs = compile_constraints(typed, seed=seed)
+    cfg = SolverConfig(rng_seed=seed, max_iterations=5)
+    report = solve(built.objects, built.regions, cs, cfg)
+    ctx = cs.context(report.best_layout, rng_seed=seed)
+    assert evaluate(cs.constraints[0], ctx)
+
+
+def test_report_verdicts_use_the_solver_support_tolerance():
+    # The cube's bottom floats 2 cm above the floor: supported under a
+    # 5 cm tolerance, unsupported under the default 5 mm one.
+    cs = compiled("region room; object cube; cube.pos <- vec3(5, 0.52, 5);")
+    cube = obj("cube", pos=(5.0, 0.52, 5.0), preplaced=True)
+    cfg = SolverConfig(max_iterations=0, support_tolerance=0.05)
+    report = solve([cube], [ROOM], cs, cfg)
+    assert report.best_ratio == 1.0
+    verdicts = [
+        line.split()[2] for line in render_report(report, cs, cfg).split("# constraints\n")[1].splitlines()
+    ]
+    assert verdicts.count("satisfied") / len(verdicts) == report.best_ratio
