@@ -166,12 +166,25 @@ def decide(
     Without a generator, a below-threshold best candidate is still returned
     (flagged `below_threshold`) so pipelines stay total. An empty database
     with no generator raises NoAssetError.
+
+    Semantic scores lie in [0, 1] (the provider contract), so a candidate
+    whose score with a perfect semantic match, `(λv·v + λt)/(λv+λt)`, is
+    not above the best so far cannot win; it is skipped without a semantic
+    call. Every rounding step is monotone, so that bound is never below
+    the candidate's score and the decision is the one a full scan makes.
+    The first candidate is always scored, which validates the weights.
     """
     provider = provider or HashProvider()
+    visual_weight, semantic_weight = weights
+    total = visual_weight + semantic_weight
     best: AssetCandidate | None = None
     best_score = 0.0
     for candidate in database:
-        score = score_retrieval(candidate, query, weights[0], weights[1], provider)
+        if best is not None:
+            bound = (visual_weight * provider.visual(candidate, query) + semantic_weight) / total
+            if bound <= best_score:
+                continue
+        score = score_retrieval(candidate, query, visual_weight, semantic_weight, provider)
         if best is None or score > best_score:
             best = candidate
             best_score = score

@@ -5,7 +5,8 @@ declarations: a region is a rectangular room centered at (pos.x, pos.z)
 with floor height pos.y, footprint scale.x by scale.z, ceiling height
 scale.y, and optional yaw from rot (x and z rotations must be zero).
 Regions without geometry assignments default to a 10x3x10 room at the
-origin.
+origin. A region rotation about x or z, or an object scale component that
+is not positive, is a `BuildError` at the assignment that states it.
 
 Objects get their world extents from their `scale` assignment (base
 dimensions stay 1x1x1), an optional initial position from `pos`, and
@@ -26,9 +27,9 @@ from sthl.constraints import (
     freeze_expression,
     infer_region_assignments,
 )
-from sthl.dsl.nodes import Assign, Declare, Expr
+from sthl.dsl.nodes import Assign, Declare, Expr, Span
 from sthl.dsl.typecheck import TypedProgram
-from sthl.errors import EvalError
+from sthl.errors import BuildError, EvalError
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 
 DEFAULT_REGION_SIZE = (10.0, 3.0, 10.0)
@@ -69,12 +70,18 @@ def _evaluate_literal(expr: Expr, bindings: dict[str, Expr], seed: int):
         ) from None
 
 
-def build_scene(typed: TypedProgram, seed: int = 0, wall_thickness: float = WALL_THICKNESS) -> BuiltScene:
+def build_scene(
+    typed: TypedProgram,
+    seed: int = 0,
+    wall_thickness: float = WALL_THICKNESS,
+    filename: str = "<sthl>",
+) -> BuiltScene:
     """Materialize the objects and regions a program describes."""
     rng = random.Random(seed)
     env: dict[str, Expr] = {}
     object_props: dict[str, dict[str, object]] = {}
     region_props: dict[str, dict[str, object]] = {}
+    assigned_at: dict[tuple[str, str], Span] = {}  # the assignment that holds
 
     for stmt in typed.program.statements:
         if isinstance(stmt, Declare):
@@ -88,10 +95,26 @@ def build_scene(typed: TypedProgram, seed: int = 0, wall_thickness: float = WALL
                 env[stmt.target] = frozen
                 continue
             value = _evaluate_literal(frozen, env, seed)
+            assigned_at[stmt.target, stmt.prop] = stmt.span
             if stmt.target in object_props:
                 object_props[stmt.target][stmt.prop] = value
             else:
                 region_props[stmt.target][stmt.prop] = value
+
+    def error(target: str, prop: str, requirement: str, value) -> BuildError:
+        span = assigned_at[target, prop]
+        got = ", ".join(f"{v:g}" for v in value)
+        message = f"{target}.{prop} {requirement}, got ({got})"
+        return BuildError(message, span.line, span.column, filename)
+
+    for name, props in object_props.items():
+        scale = props.get("scale", (1.0, 1.0, 1.0))
+        if any(s <= 0 for s in scale):  # type: ignore[attr-defined]
+            raise error(name, "scale", "components must be positive", scale)
+    for name, props in region_props.items():
+        rot = props.get("rot", (0.0, 0.0, 0.0))
+        if rot[0] != 0.0 or rot[1] != 0.0:  # type: ignore[index]
+            raise error(name, "rot", "of a region must be a yaw only", rot)
 
     regions = [
         _build_region(name, props, wall_thickness) for name, props in region_props.items()
@@ -128,10 +151,6 @@ def _build_region(name: str, props: dict[str, object], wall_thickness: float) ->
     pos = tuple(props.get("pos", (0.0, 0.0, 0.0)))  # type: ignore[arg-type]
     size = tuple(props.get("scale", DEFAULT_REGION_SIZE))  # type: ignore[arg-type]
     rot = tuple(props.get("rot", (0.0, 0.0, 0.0)))  # type: ignore[arg-type]
-    if rot[0] != 0.0 or rot[1] != 0.0:
-        raise ValueError(
-            f"region {name!r}: only yaw rotation is supported for room footprints"
-        )
     cx, floor_y, cz = pos
     half_w, half_d = size[0] / 2.0, size[2] / 2.0
     corners = [(-half_w, -half_d), (half_w, -half_d), (half_w, half_d), (-half_w, half_d)]

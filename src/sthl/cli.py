@@ -19,7 +19,7 @@ from sthl import constraints as constraints_mod
 from sthl import export as export_mod
 from sthl import metrics as metrics_mod
 from sthl.build import BuiltScene, build_scene
-from sthl.dsl import Program, parse, print_program, typecheck
+from sthl.dsl import Program, TypedProgram, parse, print_program, typecheck
 from sthl.dsl.nodes import (
     AllowCollide,
     AllowOutside,
@@ -256,7 +256,9 @@ def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
     source = Path(path).read_text(encoding="utf-8")
     program = parse(source, filename=str(path))
     typed = typecheck(program, filename=str(path))
-    built = build_scene(typed, seed=cfg.seed, wall_thickness=cfg.wall_thickness)
+    built = build_scene(
+        typed, seed=cfg.seed, wall_thickness=cfg.wall_thickness, filename=str(path)
+    )
     cs = constraints_mod.compile_constraints(typed, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
 
@@ -326,6 +328,7 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     source = Path(args.file).read_text(encoding="utf-8")
     typed = typecheck(parse(source, filename=args.file), filename=args.file)
+    build_scene(typed, seed=args.seed, filename=args.file)
     cs = constraints_mod.compile_constraints(typed, seed=args.seed)
     explicit = sum(1 for c in cs.constraints if c.provenance == "explicit")
     hidden = len(cs.constraints) - explicit
@@ -341,7 +344,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     source = Path(args.file).read_text(encoding="utf-8")
     program = parse(source, filename=args.file)
     typed = typecheck(program, filename=args.file)
-    built = build_scene(typed, seed=args.seed)
+    built = build_scene(typed, seed=args.seed, filename=args.file)
     cs = constraints_mod.compile_constraints(typed, seed=args.seed)
     cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
     report = solve(built.objects, built.regions, cs, cfg)
@@ -361,7 +364,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_assets(args: argparse.Namespace) -> int:
     source = Path(args.file).read_text(encoding="utf-8")
     typed = typecheck(parse(source, filename=args.file), filename=args.file)
-    built = build_scene(typed, seed=args.seed)
+    built = build_scene(typed, seed=args.seed, filename=args.file)
     cfg = PipelineConfig(
         seed=args.seed,
         tau=args.tau,
@@ -407,11 +410,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         embedder = metrics_mod.TrigramEmbedder()
 
-    gen_typed = typecheck(parse(Path(args.gen).read_text(encoding="utf-8"), filename=args.gen))
-    gt_typed = typecheck(parse(Path(args.gt).read_text(encoding="utf-8"), filename=args.gt))
+    def checked(path: str) -> TypedProgram:
+        source = Path(path).read_text(encoding="utf-8")
+        return typecheck(parse(source, filename=path), filename=path)
 
-    def object_items(typed) -> list[tuple[str, str]]:
-        built = build_scene(typed)
+    gen_typed, gt_typed = checked(args.gen), checked(args.gt)
+
+    def object_items(typed, path: str) -> list[tuple[str, str]]:
+        built = build_scene(typed, filename=path)
         return [
             (obj.id, f"{obj.color} {obj.category} {obj.material} {obj.features}".strip())
             for obj in built.objects
@@ -425,7 +431,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ]
 
     obj_scores = metrics_mod.object_resemblance(
-        object_items(gen_typed), object_items(gt_typed), embedder, args.tau
+        object_items(gen_typed, args.gen), object_items(gt_typed, args.gt), embedder, args.tau
     )
     layout_scores = metrics_mod.layout_resemblance(
         constraint_texts(gen_typed),

@@ -38,6 +38,10 @@ class TypeCheckError(SourceError):
     """Expression or statement violates the type rules."""
 
 
+class BuildError(SourceError):
+    """An assignment gives an object or region a value no scene can hold."""
+
+
 class EvalError(SthlError):
     """A constraint could not be evaluated (missing object, bad path)."""
 

@@ -78,6 +78,25 @@ def scaled_dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip((float(u @ v) + 1.0) / 2.0, 0.0, 1.0))
 
 
+def _harmonic_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`harmonic_mean` of two equal-shape arrays, entry by entry."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at lo = hi = 0, dropped below
+        means = 2 * lo * (hi / (lo + hi))
+    return np.where(lo > 0, means, 0.0)
+
+
+def _scaled_dots(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> np.ndarray:
+    """`scaled_dot` of every row vector against every column vector, from
+    one matrix product."""
+    if not rows or not cols:
+        return np.zeros((len(rows), len(cols)))
+    shapes = {v.shape for v in rows} | {v.shape for v in cols}
+    if len(shapes) > 1:
+        raise DimensionError(f"embedding lengths differ: {sorted(shapes)}")
+    return np.clip((np.stack(rows) @ np.stack(cols).T + 1.0) / 2.0, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Hungarian assignment
 
@@ -113,14 +132,9 @@ def object_confidences(
     gen_descs = [embedder.embed(desc) for _, desc in generated]
     gt_names = [embedder.embed(name) for name, _ in ground_truth]
     gt_descs = [embedder.embed(desc) for _, desc in ground_truth]
-    entries = np.zeros((len(generated), len(ground_truth)))
-    for i in range(len(generated)):
-        for j in range(len(ground_truth)):
-            entries[i, j] = harmonic_mean(
-                scaled_dot(gen_names[i], gt_names[j]),
-                scaled_dot(gen_descs[i], gt_descs[j]),
-            )
-    return ConfidenceMatrix(entries)
+    return ConfidenceMatrix(
+        _harmonic_means(_scaled_dots(gen_names, gt_names), _scaled_dots(gen_descs, gt_descs))
+    )
 
 
 def object_resemblance(
@@ -153,12 +167,17 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _contains_name(tokens: list[str], name: str) -> bool:
-    name_tokens = _tokens(name)
-    if not name_tokens:
-        return False
-    n = len(name_tokens)
-    return any(tokens[i : i + n] == name_tokens for i in range(len(tokens) - n + 1))
+def _mentions(texts: Sequence[str], names: Sequence[str]) -> np.ndarray:
+    """Boolean text x name matrix: whether the name's tokens occur as a
+    whole-token run, case-insensitively, in the text."""
+    name_tokens = [tuple(_tokens(name)) for name in names]
+    lengths = {len(tokens) for tokens in name_tokens if tokens}
+    out = np.zeros((len(texts), len(names)), dtype=bool)
+    for i, text in enumerate(texts):
+        tokens = _tokens(text)
+        runs = {tuple(tokens[k : k + n]) for n in lengths for k in range(len(tokens) - n + 1)}
+        out[i] = [bool(name) and name in runs for name in name_tokens]
+    return out
 
 
 def layout_confidences(
@@ -176,19 +195,11 @@ def layout_confidences(
     """
     gen_vecs = [embedder.embed(text) for text in generated]
     gt_vecs = [embedder.embed(text) for text in ground_truth]
-    gen_tokens = [_tokens(text) for text in generated]
-    gt_names = [
-        [name for name in object_names if _contains_name(_tokens(text), name)]
-        for text in ground_truth
-    ]
-    entries = np.zeros((len(generated), len(ground_truth)))
-    for i in range(len(generated)):
-        for j in range(len(ground_truth)):
-            if not any(_contains_name(gen_tokens[i], name) for name in gt_names[j]):
-                continue
-            score = scaled_dot(gen_vecs[i], gt_vecs[j])
-            if score >= tau:
-                entries[i, j] = score
+    gen_mentions = _mentions(generated, object_names).astype(float)
+    gt_mentions = _mentions(ground_truth, object_names).astype(float)
+    shared_name = gen_mentions @ gt_mentions.T > 0
+    scores = _scaled_dots(gen_vecs, gt_vecs)
+    entries = np.where(shared_name & (scores >= tau), scores, 0.0)
     return ConfidenceMatrix(entries, thresholded=True)
 
 

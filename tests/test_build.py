@@ -6,7 +6,7 @@ import pytest
 
 from sthl.build import build_scene
 from sthl.dsl import parse, typecheck
-from sthl.errors import EvalError
+from sthl.errors import BuildError, EvalError
 
 
 def built(source: str, seed: int = 0):
@@ -43,8 +43,24 @@ def test_region_yaw_rotates_footprint():
 
 
 def test_region_tilt_rejected():
-    with pytest.raises(ValueError, match="yaw"):
-        built("region room; room.rot <- rot(10, 0, 0);")
+    with pytest.raises(BuildError, match="yaw") as info:
+        built("region room;\n  room.rot <- rot(10, 0, 0);")
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize("scale", ["vec3(0, 1, 1)", "vec3(1, -0.5, 1)", "vec3(1, 1, 1) - vec3(0, 2, 0)"])
+def test_non_positive_object_scale_rejected_at_its_assignment(scale):
+    with pytest.raises(BuildError, match="scale components must be positive") as info:
+        built(f"region room;\nobject a;\na.scale <- vec3(1, 1, 1);\na.scale <- {scale};")
+    assert (info.value.line, info.value.column) == (4, 1)
+
+
+def test_overridden_bad_values_are_not_errors():
+    scene = built(
+        "region room; room.rot <- rot(10, 0, 0); room.rot <- rot(0, 0, 90);\n"
+        "object a; a.scale <- vec3(0, 1, 1); a.scale <- vec3(1, 2, 1);"
+    )
+    assert scene.objects[0].extents() == (1.0, 2.0, 1.0)
 
 
 def test_object_extents_color_and_category():

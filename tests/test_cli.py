@@ -197,3 +197,23 @@ def test_read_package_bad_region_is_format_error(tmp_path):
     scene_path.write_text(json_mod.dumps(doc, indent=2, sort_keys=True))
     with pytest.raises(FormatError, match="region"):
         read_package(out)
+
+
+@pytest.mark.parametrize(
+    "source, where, message",
+    [
+        ("region room;\nobject a;\na.scale <- vec3(0, 1, 1);\n", ":3:1:", "scale"),
+        ("region room;\nobject a;\n  a.scale <- vec3(1, 1, -2);\n", ":3:3:", "scale"),
+        ("region r;\nr.rot <- rot(10, 0, 0);\nobject a;\n", ":2:1:", "yaw"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_unbuildable_values_are_located_errors(tmp_path, capsys, command, source, where, message):
+    path = tmp_path / "bad.sthl"
+    path.write_text(source)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "pkg")] if command == "pipeline" else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pkg").exists()
