@@ -17,14 +17,13 @@ otherwise).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dataclass_field
 
 from sthl.assets import AssetEntity
 from sthl.constraints import (
     EvalContext,
     evaluate_expression,
-    freeze_expression,
+    freeze_program,
     infer_region_assignments,
 )
 from sthl.dsl.nodes import Assign, Declare, Expr, Span
@@ -59,9 +58,9 @@ def _category_from_id(name: str) -> str:
     return name.replace("_", " ")
 
 
-def _evaluate_literal(expr: Expr, bindings: dict[str, Expr], seed: int):
-    """Evaluate a layout-independent assignment expression."""
-    ctx = EvalContext(SceneLayout(), bindings, rng_seed=seed)
+def _evaluate_literal(expr: Expr):
+    """Evaluate a frozen, layout-independent assignment expression."""
+    ctx = EvalContext(SceneLayout())
     try:
         return evaluate_expression(expr, ctx)
     except EvalError as exc:
@@ -76,25 +75,20 @@ def build_scene(
     wall_thickness: float = WALL_THICKNESS,
     filename: str = "<sthl>",
 ) -> BuiltScene:
-    """Materialize the objects and regions a program describes."""
-    rng = random.Random(seed)
-    env: dict[str, Expr] = {}
+    """Materialize the objects and regions a program describes, with the
+    values `freeze_program` draws for `seed`."""
     object_props: dict[str, dict[str, object]] = {}
     region_props: dict[str, dict[str, object]] = {}
     assigned_at: dict[tuple[str, str], Span] = {}  # the assignment that holds
 
-    for stmt in typed.program.statements:
+    for stmt in freeze_program(typed, seed):
         if isinstance(stmt, Declare):
             if stmt.kind == "object":
                 object_props[stmt.name] = {}
             elif stmt.kind == "region":
                 region_props[stmt.name] = {}
-        elif isinstance(stmt, Assign):
-            frozen = freeze_expression(stmt.value, env, rng, substitute=True)
-            if stmt.prop is None:
-                env[stmt.target] = frozen
-                continue
-            value = _evaluate_literal(frozen, env, seed)
+        elif isinstance(stmt, Assign) and stmt.prop is not None:
+            value = _evaluate_literal(stmt.value)
             assigned_at[stmt.target, stmt.prop] = stmt.span
             if stmt.target in object_props:
                 object_props[stmt.target][stmt.prop] = value

@@ -29,7 +29,7 @@ from sthl.dsl.nodes import (
 )
 from sthl.dsl.printer import print_assertion, print_expr
 from sthl.errors import SthlError
-from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform
+from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
 DEFAULT_SOLVE_OUT = "solve.json"
@@ -212,7 +212,7 @@ class PipelineConfig:
     tau: float = assets_mod.DEFAULT_TAU
     visual_weight: float = assets_mod.DEFAULT_VISUAL_WEIGHT
     semantic_weight: float = assets_mod.DEFAULT_SEMANTIC_WEIGHT
-    wall_thickness: float = 0.03
+    wall_thickness: float = WALL_THICKNESS
     db_path: str | None = None
     out_dir: str = "scene_package"
     keep_intermediates: bool = False
@@ -223,6 +223,17 @@ class PipelineConfig:
             max_iterations=self.max_iterations,
             rng_seed=self.seed,
         )
+
+
+def _load(
+    path: str | Path, seed: int = 0, wall_thickness: float = WALL_THICKNESS
+) -> tuple[Program, TypedProgram, BuiltScene]:
+    """The front end every program command shares: parse, type-check, build."""
+    name = str(path)
+    program = parse(Path(path).read_text(encoding="utf-8"), filename=name)
+    typed = typecheck(program, filename=name)
+    built = build_scene(typed, seed=seed, wall_thickness=wall_thickness, filename=name)
+    return program, typed, built
 
 
 def _load_database(db_path: str | None) -> list[assets_mod.AssetCandidate]:
@@ -253,12 +264,7 @@ def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
     directory: constraints.txt, decisions.tsv, solve.json, and
     per-iteration layout snapshots.
     """
-    source = Path(path).read_text(encoding="utf-8")
-    program = parse(source, filename=str(path))
-    typed = typecheck(program, filename=str(path))
-    built = build_scene(
-        typed, seed=cfg.seed, wall_thickness=cfg.wall_thickness, filename=str(path)
-    )
+    program, typed, built = _load(path, cfg.seed, cfg.wall_thickness)
     cs = constraints_mod.compile_constraints(typed, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
 
@@ -326,9 +332,7 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
-    typed = typecheck(parse(source, filename=args.file), filename=args.file)
-    build_scene(typed, seed=args.seed, filename=args.file)
+    _, typed, _ = _load(args.file, args.seed)
     cs = constraints_mod.compile_constraints(typed, seed=args.seed)
     explicit = sum(1 for c in cs.constraints if c.provenance == "explicit")
     hidden = len(cs.constraints) - explicit
@@ -341,10 +345,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
-    program = parse(source, filename=args.file)
-    typed = typecheck(program, filename=args.file)
-    built = build_scene(typed, seed=args.seed, filename=args.file)
+    program, typed, built = _load(args.file, args.seed)
     cs = constraints_mod.compile_constraints(typed, seed=args.seed)
     cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
     report = solve(built.objects, built.regions, cs, cfg)
@@ -362,9 +363,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_assets(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
-    typed = typecheck(parse(source, filename=args.file), filename=args.file)
-    built = build_scene(typed, seed=args.seed, filename=args.file)
+    _, _, built = _load(args.file, args.seed)
     cfg = PipelineConfig(
         seed=args.seed,
         tau=args.tau,
@@ -410,14 +409,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         embedder = metrics_mod.TrigramEmbedder()
 
-    def checked(path: str) -> TypedProgram:
-        source = Path(path).read_text(encoding="utf-8")
-        return typecheck(parse(source, filename=path), filename=path)
+    _, gen_typed, gen_built = _load(args.gen)
+    _, gt_typed, gt_built = _load(args.gt)
 
-    gen_typed, gt_typed = checked(args.gen), checked(args.gt)
-
-    def object_items(typed, path: str) -> list[tuple[str, str]]:
-        built = build_scene(typed, filename=path)
+    def object_items(built: BuiltScene) -> list[tuple[str, str]]:
         return [
             (obj.id, f"{obj.color} {obj.category} {obj.material} {obj.features}".strip())
             for obj in built.objects
@@ -431,7 +426,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ]
 
     obj_scores = metrics_mod.object_resemblance(
-        object_items(gen_typed, args.gen), object_items(gt_typed, args.gt), embedder, args.tau
+        object_items(gen_built), object_items(gt_built), embedder, args.tau
     )
     layout_scores = metrics_mod.layout_resemblance(
         constraint_texts(gen_typed),
@@ -564,7 +559,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int(1, "k"), default=3)
     p.add_argument("--T", type=_positive_int(0, "T"), default=5)
     p.add_argument("--tau", type=float, default=assets_mod.DEFAULT_TAU)
-    p.add_argument("--eta", type=float, default=0.03, help="wall thickness")
+    p.add_argument("--eta", type=float, default=WALL_THICKNESS, help="wall thickness")
     p.add_argument("--db", default=None)
     p.add_argument("--out", default="scene_package")
     p.add_argument("--keep-intermediates", action="store_true")

@@ -1,18 +1,19 @@
 """Compile programs into evaluable constraint sets and check satisfaction.
 
-Compilation is total on type-checked programs. It freezes every `rand`
-expression with a seeded RNG (constraints must be stable across solver
-iterations), collects `allowCollide`/`allowOutside` exceptions, and
-injects the hidden physical-plausibility constraints: pairwise
-non-collision, per-object gravity support, and per-object region
-containment.
+Compilation is total on type-checked programs. It reads the program as
+`freeze_program` freezes it, the one definition of what every `rand`
+draws (constraints must be stable across solver iterations, and the
+built scene must see the same values), collects
+`allowCollide`/`allowOutside` exceptions, and injects the hidden
+physical-plausibility constraints: pairwise non-collision, per-object
+gravity support, and per-object region containment.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Protocol, Union
+from dataclasses import dataclass, field, replace
+from typing import Union
 
 from sthl import scene
 from sthl.dsl.nodes import (
@@ -34,6 +35,7 @@ from sthl.dsl.nodes import (
     PropRef,
     Rand,
     Rot,
+    Statement,
     StringLit,
     Vec3,
     expr_idents,
@@ -121,16 +123,6 @@ class EvalContext:
     support_tolerance: float = scene.SUPPORT_TOLERANCE
 
 
-class SemanticChecker(Protocol):
-    """Hook for an external redundancy/contradiction pass over constraints.
-
-    Implementations receive a compiled set and return the reduced set; the
-    toolchain ships no implementation (only the syntactic dedupe below).
-    """
-
-    def review(self, cs: ConstraintSet) -> ConstraintSet: ...
-
-
 # ---------------------------------------------------------------------------
 # Region assignment inference
 
@@ -161,9 +153,7 @@ def _inside_preds(node: Assertion) -> list[InsidePred]:
         return [node]
     if isinstance(node, (And, Or)):
         return _inside_preds(node.left) + _inside_preds(node.right)
-    if isinstance(node, Not):
-        return []  # a negated inside() must not pin the region assignment
-    return []
+    return []  # also for Not: a negated inside() must not pin the region assignment
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +169,20 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
     allowed outside (the latter two only when the program declares a
     region).
     """
-    rng = random.Random(seed)
     env: dict[str, Expr] = {}
     explicit: list[CompiledAssertion] = []
     allow_collide: set[tuple[str, str]] = set()
     allow_outside: set[str] = set()
 
-    for stmt in typed.program.statements:
+    for stmt in freeze_program(typed, seed):
         if isinstance(stmt, Assert):
-            explicit.append(_freeze_assertion(stmt.condition, env, rng))
+            explicit.append(stmt.condition)
         elif isinstance(stmt, AllowCollide):
             allow_collide.add(tuple(sorted((stmt.first, stmt.second))))  # type: ignore[arg-type]
         elif isinstance(stmt, AllowOutside):
             allow_outside.add(stmt.name)
         elif isinstance(stmt, Assign) and stmt.prop is None:
-            env[stmt.target] = _freeze_expr(stmt.value, env, rng, substitute=True)
+            env[stmt.target] = stmt.value
 
     constraints: list[CompiledConstraint] = []
     for assertion in explicit:
@@ -268,6 +257,30 @@ def _involved(assertion: CompiledAssertion, bindings: dict[str, Expr]) -> set[st
                 if ident in bindings:
                     pending.append(ident)
     return names
+
+
+def freeze_program(typed: TypedProgram, seed: int = 0) -> list[Statement]:
+    """The program's statements with every `rand` drawn, the one definition
+    that the built scene and the constraints both read.
+
+    One `random.Random(seed)` serves the whole program, drawing in statement
+    order (within an expression, bounds before their `rand`, left to right).
+    Assignment values, to variables and to properties, have earlier variable
+    bindings substituted; assertion conditions keep variable names, which
+    evaluate through `ConstraintSet.bindings`.
+    """
+    rng = random.Random(seed)
+    env: dict[str, Expr] = {}
+    frozen: list[Statement] = []
+    for stmt in typed.program.statements:
+        if isinstance(stmt, Assign):
+            stmt = replace(stmt, value=_freeze_expr(stmt.value, env, rng, substitute=True))
+            if stmt.prop is None:
+                env[stmt.target] = stmt.value
+        elif isinstance(stmt, Assert):
+            stmt = replace(stmt, condition=_freeze_assertion(stmt.condition, env, rng))
+        frozen.append(stmt)
+    return frozen
 
 
 def _freeze_assertion(node: Assertion, env: dict[str, Expr], rng: random.Random) -> Assertion:
@@ -348,13 +361,6 @@ def _freeze_expr(
 # Evaluation
 
 Value = Union[float, str, tuple]
-
-
-def freeze_expression(
-    expr: Expr, env: dict[str, Expr], rng: random.Random, substitute: bool = False
-) -> Expr:
-    """Freeze `rand` draws (and optionally substitute variable bindings)."""
-    return _freeze_expr(expr, env, rng, substitute)
 
 
 def evaluate_expression(expr: Expr, ctx: "EvalContext") -> Value:
@@ -464,13 +470,6 @@ def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset(
                 return float("nan")
             return float("inf") if left > 0 else float("-inf")
         return left / right
-    if isinstance(node, Rand):
-        rng = random.Random(ctx.rng_seed)
-        low = _eval_expr(node.low, ctx, _stack)
-        high = _eval_expr(node.high, ctx, _stack)
-        if not isinstance(low, float) or not isinstance(high, float):
-            raise EvalError("rand bounds must be numbers")
-        return rng.uniform(low, high)
     if isinstance(node, Vec3):
         return tuple(_eval_number(part, ctx, _stack) for part in (node.x, node.y, node.z))
     if isinstance(node, Rot):
@@ -547,8 +546,7 @@ def dedupe_syntactic(cs: ConstraintSet) -> ConstraintSet:
 
     Normalization flattens and sorts `&&`/`||` chains and orders the
     operands of `=`/`!=` comparisons; it does not attempt semantic
-    subsumption (see SemanticChecker for that hook). Surviving constraints
-    keep their original ids.
+    subsumption. Surviving constraints keep their original ids.
     """
     seen: set[str] = set()
     kept: list[CompiledConstraint] = []

@@ -522,8 +522,14 @@ def solve(
     Iteration 0 records the relaxed initial placement; iterations 1..T each
     repair one batch of violated constraints. The loop exits early once
     everything is satisfied. Identical inputs and seed produce an identical
-    report.
+    report. An object whose region is not among `regions`, as in every
+    program that declares objects but no region, is a `PlacementError`.
     """
+    region_ids = {r.id for r in regions}
+    for obj in objects:
+        if obj.region not in region_ids:
+            where = f"region {obj.region!r}, not solved here" if obj.region else "no region"
+            raise PlacementError(f"object {obj.id!r} is in {where}; the solver needs its region")
     cfg = cfg or SolverConfig()
     proposer: BatchSolver = batch_solver or local_search_batch_solve
     rng = random.Random(cfg.rng_seed)

@@ -217,3 +217,40 @@ def test_unbuildable_values_are_located_errors(tmp_path, capsys, command, source
     assert err.startswith(f"error: {path}{where}") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "pkg").exists()
+
+
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+PROGRAMS = sorted(CORPUS.glob("*.sthl")) + sorted(FIXTURES.glob("*.sthl"))
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.name)
+def test_check_and_pipeline_are_total(tmp_path, capsys, path):
+    assert run(["check", str(path)]) in (0, 1)
+    assert run(["pipeline", str(path), "--T", "1", "--out", str(tmp_path / "pkg")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_program_without_region(tmp_path, capsys):
+    path = tmp_path / "bare.sthl"
+    path.write_text("object lamp;\nobject desk;\n")
+    assert run(["check", str(path)]) == 0
+    assert run(["assets", str(path)]) == 0
+    assert run(["eval", "--gen", str(path), "--gt", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["pipeline", str(path), "--out", str(tmp_path / "pkg")]) == 1
+    assert capsys.readouterr().err == "error: object 'lamp' is in no region; the solver needs its region\n"
+
+
+def test_solve_reports_rand_tautology_satisfied(tmp_path, capsys):
+    path = tmp_path / "rand.sthl"
+    path.write_text(
+        "region room; object a; object b; Number w;\n"
+        "a.scale <- vec3(rand(1, 2), 1, 1);\n"
+        "w <- rand(1, 2);\n"
+        "b.scale <- vec3(w, 1, 1);\n"
+        "assert b.scale.x = w;\n"
+    )
+    report = tmp_path / "report.txt"
+    argv = ["solve", str(path), "--seed", "7", "--out", str(tmp_path / "solve.json")]
+    assert run(argv + ["--report", str(report)]) == 0
+    assert "0 explicit satisfied b.scale.x = w" in report.read_text().splitlines()
