@@ -1,16 +1,29 @@
-"""Hand-written lexer for ScenethesisLang.
+r"""Single-regex lexer for ScenethesisLang.
 
-Tokens carry 1-based line/column positions. `//` and `/* */` comments are
-skipped. Number literals may carry a leading sign; a sign character starts
-a literal only when the preceding token cannot end an expression, so
-`a - 1` lexes as a binary minus while `rand(-1, 1)` lexes a negative
-literal. `<-` is read greedily as the assignment arrow: write `a < -1`
-with a space to compare against a negative number.
+One compiled master pattern, `_TOKEN`, is walked with `finditer`. Each match
+is one token together with the whitespace and comments in front of it, so
+the walk never stops between tokens; the named group that matched gives the
+token's kind. Lines and columns (1-based, in code points) come from a table
+of line-start offsets searched with `bisect`.
+
+`//` and `/* */` comments are skipped. Identifiers start with a letter or
+`_` and go on with letters, digits and `_`. Number literals are decimal
+digits with an optional fraction; any Unicode decimal digit counts (`٣`
+reads as 3), while another digit character such as `²` is an unexpected
+character. A literal may carry a leading sign; the sign belongs to the
+literal only when the preceding token cannot end an expression, so `a - 1`
+lexes as a binary minus while `rand(-1, 1)` lexes a negative literal. `<-`
+is read greedily as the assignment arrow: write `a < -1` with a space to
+compare against a negative number. Strings take the escapes `\n`, `\t`,
+`\"` and `\\`; any other escaped character, a newline included, stands for
+itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
+from typing import NamedTuple
 
 from sthl.errors import LexError
 
@@ -25,11 +38,30 @@ KEYWORDS = {
 
 TYPE_NAMES = ("Number", "Degree", "Bool", "Vector3", "Rotation", "Color", "Material")
 
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    column: int
+
+
+_WORD_KINDS = {**KEYWORDS, **dict.fromkeys(TYPE_NAMES, "TYPE")}
+
 # Token kinds that can end an expression; a following +/- is then a binary
 # operator rather than a literal sign.
 _VALUE_ENDERS = {"IDENT", "NUMBER", "STRING", "RPAREN"}
 
-_PUNCT = {
+_OPERATORS = {
+    "<-": "ARROW",
+    "<=": "LE",
+    ">=": "GE",
+    "!=": "NE",
+    "&&": "AND",
+    "||": "OR",
+    "<": "LT",
+    ">": "GT",
+    "!": "NOT",
     ";": "SEMI",
     "(": "LPAREN",
     ")": "RPAREN",
@@ -42,164 +74,89 @@ _PUNCT = {
     "=": "EQ",
 }
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+# A string's characters up to its closing quote: no raw newline, and a
+# backslash escapes any one character.
+_STRING_BODY = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
+
+# `\w` is `str.isalnum()` or `_`, and `\d` is `str.isdecimal()`, so `[^\W\d]`
+# is a letter, `_`, or a non-decimal numeric character; the last is an error
+# at the start of a word and is told apart in `tokenize`. The alternatives
+# are tried in order: a signed literal and an opening `/*` that the skip
+# could not close come before the operators.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<WORD>[A-Za-z_]\w*)"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    rf'|(?P<STRING>"{_STRING_BODY}")'
+    r"|(?P<SIGNED>[+-]\d+(?:\.\d+)?)"
+    r"|(?P<COMMENT>/\*)"
+    r"|(?P<OP><[-=]|[>!]=|&&|\|\||[;(),.+\-*/=<>!])"
+    r"|(?P<UWORD>[^\W\d]\w*)"
+    r'|(?P<BADSTRING>")'
+    r"|(?P<EOF>\Z)"
+    r"|(?P<CHAR>[\s\S]))"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+# `Token(...)` goes through a Python-level `__new__`; the hot path builds
+# its tuples directly.
+_new = tuple.__new__
 
 
-class _Lexer:
-    def __init__(self, source: str, filename: str):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-
-    def error(self, message: str, line: int | None = None, column: int | None = None) -> LexError:
-        return LexError(message, line or self.line, column or self.column, self.filename)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def emit(self, kind: str, value: str, line: int, column: int) -> None:
-        self.tokens.append(Token(kind, value, line, column))
-
-    def run(self) -> list[Token]:
-        while self.pos < len(self.source):
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                while self.pos < len(self.source) and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                self._block_comment()
-            elif ch.isalpha() or ch == "_":
-                self._word()
-            elif ch.isdigit():
-                self._number(sign="")
-            elif ch in "+-" and self.peek(1).isdigit() and not self._after_value():
-                line, col = self.line, self.column
-                sign = self.advance()
-                self._number(sign=sign, line=line, column=col)
-            elif ch == '"':
-                self._string()
-            else:
-                self._operator()
-        self.emit("EOF", "", self.line, self.column)
-        return self.tokens
-
-    def _after_value(self) -> bool:
-        return bool(self.tokens) and self.tokens[-1].kind in _VALUE_ENDERS
-
-    def _block_comment(self) -> None:
-        line, col = self.line, self.column
-        self.advance()
-        self.advance()
-        while self.pos < len(self.source):
-            if self.peek() == "*" and self.peek(1) == "/":
-                self.advance()
-                self.advance()
-                return
-            self.advance()
-        raise self.error("unterminated block comment", line, col)
-
-    def _word(self) -> None:
-        line, col = self.line, self.column
-        chars = [self.advance()]
-        while self.peek().isalnum() or self.peek() == "_":
-            chars.append(self.advance())
-        word = "".join(chars)
-        if word in KEYWORDS:
-            self.emit(KEYWORDS[word], word, line, col)
-        elif word in TYPE_NAMES:
-            self.emit("TYPE", word, line, col)
-        else:
-            self.emit("IDENT", word, line, col)
-
-    def _number(self, sign: str, line: int | None = None, column: int | None = None) -> None:
-        line = line if line is not None else self.line
-        column = column if column is not None else self.column
-        chars = [sign]
-        while self.peek().isdigit():
-            chars.append(self.advance())
-        if self.peek() == "." and self.peek(1).isdigit():
-            chars.append(self.advance())
-            while self.peek().isdigit():
-                chars.append(self.advance())
-        self.emit("NUMBER", "".join(chars), line, column)
-
-    def _string(self) -> None:
-        line, col = self.line, self.column
-        self.advance()
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self.error("unterminated string literal", line, col)
-            ch = self.advance()
-            if ch == '"':
-                break
-            if ch == "\n":
-                raise self.error("newline in string literal", line, col)
-            if ch == "\\":
-                if self.pos >= len(self.source):
-                    raise self.error("unterminated string literal", line, col)
-                esc = self.advance()
-                chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-            else:
-                chars.append(ch)
-        self.emit("STRING", "".join(chars), line, col)
-
-    def _operator(self) -> None:
-        line, col = self.line, self.column
-        ch = self.advance()
-        nxt = self.peek()
-        if ch == "<" and nxt == "-":
-            self.advance()
-            self.emit("ARROW", "<-", line, col)
-        elif ch == "<" and nxt == "=":
-            self.advance()
-            self.emit("LE", "<=", line, col)
-        elif ch == ">" and nxt == "=":
-            self.advance()
-            self.emit("GE", ">=", line, col)
-        elif ch == "!" and nxt == "=":
-            self.advance()
-            self.emit("NE", "!=", line, col)
-        elif ch == "&" and nxt == "&":
-            self.advance()
-            self.emit("AND", "&&", line, col)
-        elif ch == "|" and nxt == "|":
-            self.advance()
-            self.emit("OR", "||", line, col)
-        elif ch == "<":
-            self.emit("LT", "<", line, col)
-        elif ch == ">":
-            self.emit("GT", ">", line, col)
-        elif ch == "!":
-            self.emit("NOT", "!", line, col)
-        elif ch in _PUNCT:
-            self.emit(_PUNCT[ch], ch, line, col)
-        else:
-            raise self.error(f"unexpected character {ch!r}", line, col)
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m.group(1), m.group(1))
 
 
 def tokenize(source: str, filename: str = "<sthl>") -> list[Token]:
     """Tokenize source text, raising LexError on illegal input."""
-    return _Lexer(source, filename).run()
+    # Offsets at which lines start, then one past the end; a token bisects
+    # only when it starts on a later line than the token before it.
+    line_starts = [0]
+    i = source.find("\n")
+    while i >= 0:
+        line_starts.append(i + 1)
+        i = source.find("\n", i + 1)
+    line_starts.append(len(source) + 1)
+    line, line_start, next_start = 1, 0, line_starts[1]
+    tokens: list[Token] = []
+    append = tokens.append
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if start >= next_start:
+            line = bisect_right(line_starts, start)
+            line_start, next_start = line_starts[line - 1], line_starts[line]
+        column = start - line_start + 1
+        text = m.group(kind)
+        if kind == "OP":
+            append(_new(Token, (_OPERATORS[text], text, line, column)))
+        elif kind == "WORD":
+            append(_new(Token, (_WORD_KINDS.get(text, "IDENT"), text, line, column)))
+        elif kind == "NUMBER":
+            append(_new(Token, ("NUMBER", text, line, column)))
+        elif kind == "STRING":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            append(Token("STRING", value, line, column))
+        elif kind == "SIGNED":
+            if tokens and tokens[-1].kind in _VALUE_ENDERS:
+                append(Token(_OPERATORS[text[0]], text[0], line, column))
+                append(Token("NUMBER", text[1:], line, column + 1))
+            else:
+                append(Token("NUMBER", text, line, column))
+        elif kind == "UWORD" and (text[0].isalpha() or text[0] == "_"):
+            append(Token(_WORD_KINDS.get(text, "IDENT"), text, line, column))
+        elif kind == "EOF":
+            append(Token("EOF", "", line, column))
+            return tokens
+        elif kind == "COMMENT":
+            raise LexError("unterminated block comment", line, column, filename)
+        elif kind == "BADSTRING":
+            end = re.compile(_STRING_BODY).match(source, start + 1).end()
+            reason = "newline in" if source.startswith("\n", end) else "unterminated"
+            raise LexError(f"{reason} string literal", line, column, filename)
+        else:
+            raise LexError(f"unexpected character {text[0]!r}", line, column, filename)
+    raise AssertionError("the token pattern always matches at the end of input")

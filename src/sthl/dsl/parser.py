@@ -8,6 +8,9 @@ to the expression reading if that fails.
 
 Identifier resolution happens during the parse: every referenced name must
 be declared earlier in statement order, and no name may be declared twice.
+
+Parentheses, built-in calls and `!` may nest at most `MAX_NESTING` deep;
+one level deeper is a ParseError at the token that opens it.
 """
 
 from __future__ import annotations
@@ -46,14 +49,22 @@ from sthl.dsl.nodes import (
 )
 from sthl.errors import ParseError, ResolveError
 
+# Each nesting level costs the parser up to four Python frames, and every
+# later stage (type check, freeze, build, compile, print, evaluation) recurses
+# over the tree too; 100 levels keeps them all far inside the interpreter's
+# default recursion limit of 1000.
+MAX_NESTING = 100
+
 _COMPARE_KINDS = {"EQ": "=", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+        # One EOF sentinel past the lexer's EOF keeps `peek(1)` in range.
+        self.tokens = tokens + tokens[-1:]
         self.filename = filename
         self.index = 0
+        self.depth = 0
         # name -> ('object' | 'region' | 'var', ValueType | None)
         self.symbols: dict[str, tuple[str, ValueType | None]] = {}
         self.notes: list[str] = []
@@ -61,12 +72,14 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token helpers
 
+    # `index` never passes the lexer's EOF: `advance` stays on it, and no
+    # caller expects EOF.
+
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.index + offset]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.index].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.index]
@@ -75,10 +88,17 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok.kind != kind:
             raise self.parse_error(f"expected {what}, found {tok.value!r}" if tok.value else f"expected {what}, found end of input", tok)
-        return self.advance()
+        self.index += 1
+        return tok
+
+    def nest(self, opener: Token) -> None:
+        """Enter one nesting level; the caller leaves it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.parse_error(f"nesting deeper than {MAX_NESTING} levels", opener)
 
     def parse_error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
@@ -224,7 +244,10 @@ class _Parser:
     def not_assertion(self) -> Assertion:
         if self.at("NOT"):
             op = self.advance()
-            return Not(self.not_assertion(), span=self.span(op))
+            self.nest(op)
+            operand = self.not_assertion()
+            self.depth -= 1
+            return Not(operand, span=self.span(op))
         return self.primary_assertion()
 
     def primary_assertion(self) -> Assertion:
@@ -234,14 +257,16 @@ class _Parser:
         if tok.kind == "LPAREN":
             # Either a grouped assertion or an expression opening a
             # comparison; try the assertion reading first.
-            snapshot = self.index
+            snapshot = self.index, self.depth
             try:
                 self.advance()
+                self.nest(tok)
                 inner = self.assertion()
                 self.expect("RPAREN", "')'")
+                self.depth -= 1
                 return inner
             except ParseError:
-                self.index = snapshot
+                self.index, self.depth = snapshot
         return self.comparison()
 
     def inside_pred(self) -> InsidePred:
@@ -295,8 +320,10 @@ class _Parser:
             return StringLit(tok.value, span=self.span(tok))
         if tok.kind == "LPAREN":
             self.advance()
+            self.nest(tok)
             inner = self.expression()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return inner
         if tok.kind == "IDENT":
             if tok.value in ("rand", "vec3", "rot", "dot") and self.peek(1).kind == "LPAREN":
@@ -306,12 +333,13 @@ class _Parser:
 
     def builtin_call(self) -> Expr:
         name = self.advance()
-        self.expect("LPAREN", "'('")
+        self.nest(self.expect("LPAREN", "'('"))
         args = [self.expression()]
         while self.at("COMMA"):
             self.advance()
             args.append(self.expression())
         self.expect("RPAREN", "')'")
+        self.depth -= 1
         arity = {"rand": 2, "vec3": 3, "rot": 3, "dot": 2}[name.value]
         if len(args) != arity:
             raise self.parse_error(

@@ -9,6 +9,10 @@ A package directory holds four files:
 - ``metadata.sthl`` the canonical program text (always re-parses)
 - ``report.txt``    solve report with the per-constraint verdict table
 
+A package read back keeps the program it parsed to validate
+``metadata.sthl``; ``ScenePackage.program()``, ``verdicts_for`` and
+``resolve_region`` reuse it instead of parsing the text again.
+
 Coordinates are written unchanged in the left-handed convention, so engine
 importers apply no axis flip. ``rotationXZY`` triples are degrees in
 application order x, z, y.
@@ -88,11 +92,16 @@ class ScenePackage:
     solver_meta: dict = field(default_factory=dict)
     lights: list[Light] = field(default_factory=list)
     snap_reverted: tuple[str, ...] = ()
+    # (text, program parsed from it); `program()` parses again once
+    # `metadata_text` no longer equals that text.
+    _parsed: tuple[str, Program] | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
 
     def program(self) -> Program:
-        return parse(self.metadata_text)
+        if self._parsed is None or self._parsed[0] != self.metadata_text:
+            self._parsed = (self.metadata_text, parse(self.metadata_text))
+        return self._parsed[1]
 
     def manifest_for(self, object_id: str) -> ManifestEntry:
         for entry in self.manifest:
@@ -512,7 +521,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         raise FormatError(f"{metadata_path}: missing metadata")
     metadata_text = metadata_path.read_text(encoding="utf-8")
     try:
-        parse(metadata_text)
+        program = parse(metadata_text)
     except Exception as exc:
         raise FormatError(f"{metadata_path}: embedded program does not parse: {exc}") from exc
 
@@ -529,6 +538,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         solver_meta=doc.get("solver", {}),
         lights=lights,
         snap_reverted=tuple(doc.get("snapReverted", [])),
+        _parsed=(metadata_text, program),
     )
 
 
@@ -603,4 +613,5 @@ def resolve_region(
         solver_meta=dict(pkg.solver_meta),
         lights=list(pkg.lights),
         snap_reverted=pkg.snap_reverted,
+        _parsed=pkg._parsed,
     )

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sthl.cli import run
+from sthl.dsl.parser import MAX_NESTING
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 LIVINGROOM = str(FIXTURES / "livingroom.sthl")
@@ -254,3 +255,39 @@ def test_solve_reports_rand_tautology_satisfied(tmp_path, capsys):
     argv = ["solve", str(path), "--seed", "7", "--out", str(tmp_path / "solve.json")]
     assert run(argv + ["--report", str(report)]) == 0
     assert "0 explicit satisfied b.scale.x = w" in report.read_text().splitlines()
+
+
+def test_non_decimal_digit_is_a_located_error(tmp_path, capsys):
+    path = tmp_path / "digit.sthl"
+    path.write_text("Number w;\nw <- ²;\n", encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2:6: unexpected character '²'\n"
+
+
+def _nested(depth: int) -> str:
+    """A program with one statement of each nesting shape, `depth` deep."""
+    return (
+        "region r;\nr.scale <- vec3(6, 3, 6);\nobject a;\nNumber w;\nNumber v;\n"
+        "w <- " + "(1 + " * depth + "1" + ")" * depth + ";\n"
+        "v <- " + "rand(0, " * depth + "1" + ")" * depth + ";\n"
+        "assert " + "(" * depth + "a.pos.x > -10" + ")" * depth + ";\n"
+        "assert " + "!" * depth + "a.pos.x > -10;\n"
+        "assert " + "!(" * (depth // 2) + "a.pos.z > -10 && v >= 0" + ")" * (depth // 2) + ";\n"
+    )
+
+
+def test_nesting_limit_holds_through_every_stage(tmp_path, capsys):
+    path = tmp_path / "deep.sthl"
+    path.write_text(_nested(MAX_NESTING), encoding="utf-8")
+    assert run(["pipeline", str(path), "--T", "1", "--out", str(tmp_path / "pkg")]) == 0
+    assert run(["eval", "--gen", str(path), "--gt", str(path)]) == 0
+    assert (tmp_path / "pkg" / "metadata.sthl").exists()
+    capsys.readouterr()
+
+    path.write_text(_nested(MAX_NESTING + 1), encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    column = len("w <- ") + MAX_NESTING * len("(1 + ") + 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:6:{column}: nesting deeper than {MAX_NESTING} levels\n"
+    )

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from sthl import export
 from sthl.assets import AssetDecision, AssetHandle, AssetQuery
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
@@ -324,6 +325,35 @@ def test_resolve_region_unknown_region():
     pkg = two_room_package()
     with pytest.raises(KeyError):
         resolve_region(pkg, "attic")
+
+
+def test_package_read_parses_its_program_once(tmp_path, monkeypatch):
+    write_package(two_room_package(), tmp_path / "pkg")
+    calls = []
+
+    def counting_parse(text, *args, **kwargs):
+        calls.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(export, "parse", counting_parse)
+    loaded = read_package(tmp_path / "pkg")
+    resolved = resolve_region(loaded, "left", SolverConfig(rng_seed=5))
+    assert loaded.verdicts_for("couch") and resolved.verdicts_for("bed")
+    assert loaded.program() is resolved.program()
+    assert calls == [loaded.metadata_text]
+
+    resolved.metadata_text += "object lamp;\n"
+    assert [s.name for s in resolved.program().statements[-1:]] == ["lamp"]
+    assert len(calls) == 2
+    assert loaded.program() is not resolved.program()
+
+
+def test_write_rejects_metadata_that_does_not_parse(tmp_path):
+    pkg = two_room_package()
+    pkg.metadata_text = "object ;\n"
+    with pytest.raises(FormatError, match="does not re-parse"):
+        write_package(pkg, tmp_path / "pkg")
+    assert not (tmp_path / "pkg").exists()
 
 
 # ---------------------------------------------------------------------------

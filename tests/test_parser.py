@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sthl.dsl import parse
+from sthl.dsl.parser import MAX_NESTING
 from sthl.dsl.nodes import (
     Assert,
     Assign,
@@ -190,3 +191,26 @@ def test_corpus_parses():
     for path in files:
         program = parse(path.read_text(encoding="utf-8"), filename=str(path))
         assert program.statements
+
+
+def test_non_decimal_digit_is_an_unexpected_character():
+    with pytest.raises(LexError, match="unexpected character '²'") as exc:
+        parse("Number w;\nw <- 1²;")
+    assert (exc.value.line, exc.value.column) == (2, 7)
+    program = parse("Number w; w <- ٣.٥;")  # Unicode decimal digits
+    assert program.statements[1].value == NumberLit(3.5)
+
+
+@pytest.mark.parametrize(
+    "opener, closer, token_at",  # token_at: 1-based column of the token in `opener`
+    [("(", ")", 1), ("rand(0, ", ")", 5), ("!", "", 1)],
+    ids=["parentheses", "calls", "not"],
+)
+def test_nesting_limit(opener, closer, token_at):
+    head = "object a; Number w; " + ("assert " if opener == "!" else "w <- ")
+    body = "a.pos.x > 0" if opener == "!" else "1"
+    parse(head + opener * MAX_NESTING + body + closer * MAX_NESTING + ";")
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as exc:
+        parse(head + opener * (MAX_NESTING + 1) + body + closer * (MAX_NESTING + 1) + ";")
+    column = len(head) + MAX_NESTING * len(opener) + token_at
+    assert (exc.value.line, exc.value.column) == (1, column)
