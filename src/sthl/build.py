@@ -5,8 +5,9 @@ declarations: a region is a rectangular room centered at (pos.x, pos.z)
 with floor height pos.y, footprint scale.x by scale.z, ceiling height
 scale.y, and optional yaw from rot (x and z rotations must be zero).
 Regions without geometry assignments default to a 10x3x10 room at the
-origin. A region rotation about x or z, or an object scale component that
-is not positive, is a `BuildError` at the assignment that states it.
+origin. A region rotation about x or z, an object scale component that
+is not positive, or a value that reads another object's placement is a
+`BuildError` at the assignment that states it.
 
 Objects get their world extents from their `scale` assignment (base
 dimensions stay 1x1x1), an optional initial position from `pos`, and
@@ -26,7 +27,7 @@ from sthl.constraints import (
     freeze_program,
     infer_region_assignments,
 )
-from sthl.dsl.nodes import Assign, Declare, Expr, Span
+from sthl.dsl.nodes import Assign, Declare, Span
 from sthl.dsl.typecheck import TypedProgram
 from sthl.errors import BuildError, EvalError
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
@@ -58,15 +59,14 @@ def _category_from_id(name: str) -> str:
     return name.replace("_", " ")
 
 
-def _evaluate_literal(expr: Expr):
-    """Evaluate a frozen, layout-independent assignment expression."""
+def _evaluate_literal(stmt: Assign, filename: str):
+    """Evaluate a frozen assignment value, which must not read the layout."""
     ctx = EvalContext(SceneLayout())
     try:
-        return evaluate_expression(expr, ctx)
+        return evaluate_expression(stmt.value, ctx)
     except EvalError as exc:
-        raise EvalError(
-            f"assignment must not depend on object placement: {exc}"
-        ) from None
+        message = f"assignment must not depend on object placement: {exc}"
+        raise BuildError(message, stmt.span.line, stmt.span.column, filename) from None
 
 
 def build_scene(
@@ -88,7 +88,7 @@ def build_scene(
             elif stmt.kind == "region":
                 region_props[stmt.name] = {}
         elif isinstance(stmt, Assign) and stmt.prop is not None:
-            value = _evaluate_literal(stmt.value)
+            value = _evaluate_literal(stmt, filename)
             assigned_at[stmt.target, stmt.prop] = stmt.span
             if stmt.target in object_props:
                 object_props[stmt.target][stmt.prop] = value

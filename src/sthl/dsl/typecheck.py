@@ -9,7 +9,7 @@ String literals coerce to Color and Material in assignment position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from sthl.dsl.nodes import (
     And,
@@ -77,18 +77,10 @@ class Symbol:
 
 @dataclass
 class TypedProgram:
-    """A type-checked program plus its symbol table.
-
-    `expr_types` maps expression node identity to the inferred ValueType;
-    it stays valid for the lifetime of `program`.
-    """
+    """A type-checked program plus its symbol table."""
 
     program: Program
     symbols: dict[str, Symbol]
-    expr_types: dict[int, ValueType] = field(default_factory=dict, repr=False)
-
-    def type_of(self, node: Expr) -> ValueType:
-        return self.expr_types[id(node)]
 
     def objects(self) -> list[str]:
         return [s.name for s in self.symbols.values() if s.kind == "object"]
@@ -114,7 +106,6 @@ class _Checker:
         self.program = program
         self.filename = filename
         self.symbols: dict[str, Symbol] = {}
-        self.expr_types: dict[int, ValueType] = {}
 
     def run(self) -> TypedProgram:
         for stmt in self.program.statements:
@@ -126,7 +117,7 @@ class _Checker:
             elif isinstance(stmt, Assign):
                 self.check_assign(stmt)
             # allowCollide/allowOutside are fully resolved by the parser.
-        return TypedProgram(self.program, self.symbols, self.expr_types)
+        return TypedProgram(self.program, self.symbols)
 
     # ------------------------------------------------------------------
 
@@ -218,11 +209,6 @@ class _Checker:
     # ------------------------------------------------------------------
 
     def infer(self, node: Expr) -> ValueType:
-        t = self._infer(node)
-        self.expr_types[id(node)] = t
-        return t
-
-    def _infer(self, node: Expr) -> ValueType:
         if isinstance(node, NumberLit):
             return ValueType.NUMBER
         if isinstance(node, StringLit):

@@ -119,18 +119,17 @@ class SceneLayout:
     regions: list[Region] = field(default_factory=list)
     objects: list[SceneObject] = field(default_factory=list)
     connections: list[Connection] = field(default_factory=list)
+    # id -> position in `objects` / `regions`. A position is used only while
+    # the item there still has that id, so the lists may be appended to,
+    # reassigned or changed in place.
+    _object_at: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _region_at: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def object(self, object_id: str) -> SceneObject:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise KeyError(object_id)
+        return _lookup(self.objects, self._object_at, object_id)
 
     def region(self, region_id: str) -> Region:
-        for region in self.regions:
-            if region.id == region_id:
-                return region
-        raise KeyError(region_id)
+        return _lookup(self.regions, self._region_at, region_id)
 
     def region_of(self, obj: SceneObject) -> Region:
         return self.region(obj.region)
@@ -143,9 +142,25 @@ class SceneLayout:
         )
 
 
-_CORNER_SIGNS = np.array(
-    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
-)
+def _lookup(items: list, index: dict[str, int], key: str):
+    """The first item of `items` whose id is `key`, through `index`.
+
+    An index entry is checked against the list before it is used; a stale
+    or missing one falls back to a scan, which re-indexes the list when
+    it finds the item. A missing id raises `KeyError`.
+    """
+    i = index.get(key)
+    if i is not None and i < len(items):
+        item = items[i]
+        if item.id == key:
+            return item
+    for item in items:
+        if item.id == key:
+            index.clear()
+            for i, other in enumerate(items):
+                index.setdefault(other.id, i)
+            return item
+    raise KeyError(key)
 
 
 @dataclass(frozen=True)
@@ -162,13 +177,21 @@ class OrientedBox:
     bounds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        offsets = (_CORNER_SIGNS * np.array(self.half_extents)) @ np.array(self.axes)
-        corners = np.array(self.center) + offsets
-        points = tuple(map(tuple, corners.tolist()))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "plan", tuple(dict.fromkeys((x, z) for x, _, z in points)))
-        bounds = corners.min(axis=0).tolist() + corners.max(axis=0).tolist()
-        object.__setattr__(self, "bounds", tuple(bounds))
+        # Corner (s0, s1, s2), signs in {-1, 1} with s2 fastest, is
+        # center + ((s0*h0*a + s1*h1*b) + s2*h2*c), summed in the order of
+        # the numpy matrix product this replaced. A sign flip is exact, so
+        # each coordinate needs only the four sums v1..v4 of _spread and
+        # their negations.
+        h0, h1, h2 = self.half_extents
+        a, b, c = self.axes
+        m = self.center
+        xs = _spread(m[0], h0 * a[0], h1 * b[0], h2 * c[0])
+        ys = _spread(m[1], h0 * a[1], h1 * b[1], h2 * c[1])
+        zs = _spread(m[2], h0 * a[2], h1 * b[2], h2 * c[2])
+        object.__setattr__(self, "points", tuple(zip(xs, ys, zs)))
+        object.__setattr__(self, "plan", tuple(dict.fromkeys(zip(xs, zs))))
+        bounds = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
+        object.__setattr__(self, "bounds", bounds)
 
     def corners(self) -> np.ndarray:
         """The 8 world-space corners, shape (8, 3)."""
@@ -179,27 +202,36 @@ class OrientedBox:
         return 8.0 * hx * hy * hz
 
 
+def _spread(m: float, p: float, q: float, r: float) -> tuple[float, ...]:
+    """One coordinate of the 8 corners, in corner order, for the center
+    coordinate `m` and the scaled axis components p, q and r."""
+    s, d = p + q, p - q
+    v1, v2, v3, v4 = s + r, s - r, d + r, d - r
+    return (m - v1, m - v2, m - v3, m - v4, m + v4, m + v3, m + v2, m + v1)
+
+
 # ---------------------------------------------------------------------------
 # Rotation
 
 
-def rotation_matrix(rot: Vec) -> np.ndarray:
-    """World-from-local rotation for degrees (rx, rz, ry), applied x -> z -> y."""
+def _rotation_axes(rot: Vec) -> tuple[Vec, Vec, Vec]:
+    """World directions of the local x, y and z axes for degrees (rx, rz, ry),
+    applied x -> z -> y: the columns of Ry @ Rz @ Rx."""
     rx, rz, ry = (math.radians(a) for a in rot)
     cx, sx = math.cos(rx), math.sin(rx)
     cz, sz = math.cos(rz), math.sin(rz)
     cy, sy = math.cos(ry), math.sin(ry)
-    mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    return my @ mz @ mx
+    return (
+        (cy * cz, sz, -sy * cz),
+        (sy * sx - cy * sz * cx, cz * cx, sy * sz * cx + cy * sx),
+        (cy * sz * sx + sy * cx, -cz * sx, cy * cx - sy * sz * sx),
+    )
 
 
 @lru_cache(maxsize=65536)
 def _oriented_box(dimensions: Vec, scale: Vec, rot: Vec, pos: Vec) -> OrientedBox:
-    axes = tuple(map(tuple, rotation_matrix(rot).T.tolist()))  # columns, as floats
     half = tuple(d * s / 2.0 for d, s in zip(dimensions, scale))
-    return OrientedBox(pos, axes, half)  # type: ignore[arg-type]
+    return OrientedBox(pos, _rotation_axes(rot), half)  # type: ignore[arg-type]
 
 
 def world_box(obj: SceneObject) -> OrientedBox:

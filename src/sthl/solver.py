@@ -133,8 +133,11 @@ def initial_placement(
     Objects are placed largest footprint first so bulky furniture claims
     space early. For each object, `candidate_samples` floor positions are
     drawn inside its region (rotation drawn from `rotation_steps`) and the
-    one violating the fewest constraints among already-placed objects wins.
-    Objects carrying an explicit position from the program keep it.
+    one violating the fewest constraints among already-placed objects wins
+    (the earliest on ties). A candidate's count stops once it reaches the
+    best so far, since such a candidate cannot win; the winner is the one a
+    full count picks. Objects carrying an explicit position from the
+    program keep it.
     """
     rng = rng or random.Random(cfg.rng_seed)
     layout = SceneLayout(regions=list(regions), objects=[])
@@ -190,7 +193,15 @@ def initial_placement(
             if not scene.inside(obj, region):
                 continue
             ctx = _context(cs, layout, cfg)
-            violations = sum(1 for c in relevant if not evaluate(c, ctx))
+            # Stop counting once the candidate cannot beat the best so far;
+            # the first candidate scored counts every constraint.
+            bound = len(relevant) if best is None else best[0]
+            violations = 0
+            for c in relevant:
+                if not evaluate(c, ctx):
+                    violations += 1
+                    if violations >= bound:
+                        break
             if best is None or violations < best[0]:
                 best = (violations, attempt)
                 best_transform = candidate

@@ -1,8 +1,9 @@
 """Brute-force geometry oracles: grid-sampling collision/containment and
 ray-casting point-in-polygon. Independent of the implementations under
-test (those use separating axes and winding numbers). `sat_reference` is
-the numpy formulation of the separating-axis test that the scalar kernel
-in `sthl.scene` replaced, kept as the reference for differential tests."""
+test (those use separating axes and winding numbers). `sat_reference` and
+`box_reference` are the numpy formulations of the separating-axis test and
+of box construction that the scalar code in `sthl.scene` replaced, kept as
+the references for differential tests."""
 
 from __future__ import annotations
 
@@ -129,3 +130,32 @@ def sat_reference(box_a: OrientedBox, box_b: OrientedBox) -> tuple[float, np.nda
             if depth <= -_EPS:
                 break  # separated; no smaller margin needed
     return best_margin, np.array(best_axis)
+
+
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+)
+
+
+def rotation_matrix(rot) -> np.ndarray:
+    """World-from-local rotation for degrees (rx, rz, ry), applied x -> z -> y."""
+    rx, rz, ry = (math.radians(a) for a in rot)
+    cx, sx = math.cos(rx), math.sin(rx)
+    cz, sz = math.cos(rz), math.sin(rz)
+    cy, sy = math.cos(ry), math.sin(ry)
+    mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    return my @ mz @ mx
+
+
+def box_reference(dimensions, scale, rot, pos) -> dict:
+    """`axes`, `points`, `plan` and `bounds` of a world box, built in numpy."""
+    axes = tuple(map(tuple, rotation_matrix(rot).T.tolist()))  # columns, as floats
+    half = tuple(d * s / 2.0 for d, s in zip(dimensions, scale))
+    offsets = (_CORNER_SIGNS * np.array(half)) @ np.array(axes)
+    corners = np.array(pos) + offsets
+    points = tuple(map(tuple, corners.tolist()))
+    plan = tuple(dict.fromkeys((x, z) for x, _, z in points))
+    bounds = corners.min(axis=0).tolist() + corners.max(axis=0).tolist()
+    return {"axes": axes, "points": points, "plan": plan, "bounds": tuple(bounds)}

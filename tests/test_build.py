@@ -6,7 +6,7 @@ import pytest
 
 from sthl.build import build_scene
 from sthl.dsl import parse, typecheck
-from sthl.errors import BuildError, EvalError
+from sthl.errors import BuildError
 
 
 def built(source: str, seed: int = 0):
@@ -108,8 +108,10 @@ def test_variables_and_rand_in_assignments():
 
 
 def test_layout_dependent_assignment_rejected():
-    with pytest.raises(EvalError, match="placement"):
-        built("object a; object b; b.pos <- a.pos;")
+    with pytest.raises(BuildError, match="placement") as info:
+        build_scene(typecheck(parse("object a; object b;\n  b.pos <- a.pos;")), filename="room.sthl")
+    assert (info.value.line, info.value.column, info.value.filename) == (2, 3, "room.sthl")
+    assert str(info.value).startswith("room.sthl:2:3: assignment must not depend on object placement")
 
 
 def test_entities_for_asset_queries():

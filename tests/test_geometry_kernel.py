@@ -1,12 +1,13 @@
 """Differential tests of the scalar geometry kernel in `sthl.scene` against
-the numpy separating-axis reference and the brute-force oracles."""
+the numpy references (separating axes, box construction) and the
+brute-force oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from geom_oracles import corner_inside_oracle, grid_collides, sat_reference
+from geom_oracles import box_reference, corner_inside_oracle, grid_collides, sat_reference
 from sthl.scene import (
     Region,
     SceneObject,
@@ -172,3 +173,42 @@ def test_box_caches_its_corners_and_bounds(pos, rot, scale):
     corners = box.corners()
     assert corners.shape == (8, 3)
     assert box.bounds == tuple(corners.min(axis=0).tolist() + corners.max(axis=0).tolist())
+
+
+sizes = st.tuples(*[st.floats(0.05, 5.0) for _ in range(3)])
+positions = st.tuples(*[st.floats(-20.0, 20.0) for _ in range(3)])
+quarter_turns = st.integers(-8, 8).map(lambda k: (0.0, 0.0, 90.0 * k))
+any_rotation = st.tuples(*[st.floats(-720.0, 720.0) for _ in range(3)])
+
+
+def _box_fields(dimensions, scale, rot, pos) -> dict:
+    obj = SceneObject("o", dimensions=dimensions, transform=Transform(pos=pos, rot=rot, scale=scale))
+    box = world_box(obj)
+    return {"axes": box.axes, "points": box.points, "plan": box.plan, "bounds": box.bounds}
+
+
+@given(sizes, sizes, quarter_turns, positions)
+@settings(max_examples=300, deadline=None)
+@example((1.0, 1.0, 1.0), (0.45, 0.8, 1.37), (0.0, 0.0, 180.0), (3.3, 0.4, 7.1))
+def test_box_equals_numpy_reference_at_quarter_turns(dimensions, scale, rot, pos):
+    assert _box_fields(dimensions, scale, rot, pos) == box_reference(dimensions, scale, rot, pos)
+
+
+def _close(p, q) -> bool:
+    return all(abs(x - y) <= 1e-12 for x, y in zip(p, q))
+
+
+@given(sizes, sizes, st.one_of(any_rotation, rotations), positions)
+@settings(max_examples=300, deadline=None)
+def test_box_matches_numpy_reference_to_rounding(dimensions, scale, rot, pos):
+    got = _box_fields(dimensions, scale, rot, pos)
+    ref = box_reference(dimensions, scale, rot, pos)
+    for name in ("axes", "points"):
+        assert all(_close(p, q) for p, q in zip(got[name], ref[name], strict=True)), name
+    assert _close(got["bounds"], ref["bounds"])
+    # Corners that differ only in rounding may collapse into one plan point
+    # on one side and not the other, so compare the plans as point sets.
+    for p in got["plan"]:
+        assert any(_close(p, q) for q in ref["plan"])
+    for q in ref["plan"]:
+        assert any(_close(p, q) for p in got["plan"])

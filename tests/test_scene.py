@@ -8,7 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from sthl.errors import DegenerateRegion
+from sthl.constraints import compile_constraints, evaluate
+from sthl.dsl import parse, typecheck
+from sthl.errors import DegenerateRegion, EvalError
 from sthl.scene import (
     Region,
     SceneLayout,
@@ -17,14 +19,13 @@ from sthl.scene import (
     collides,
     collision_margin,
     inside,
-    rotation_matrix,
     signed_area,
     supported,
     thicken_walls,
     world_box,
 )
 
-from geom_oracles import grid_collides, grid_inside, raycast_point_in_polygon
+from geom_oracles import grid_collides, grid_inside, raycast_point_in_polygon, rotation_matrix
 
 L_ROOM = Region(
     "lroom",
@@ -353,3 +354,63 @@ def test_region_validate_checks_simplicity():
         bowtie.validate()
     assert signed_area(L_ROOM.vertices) > 0
     L_ROOM.validate()
+
+
+# ---------------------------------------------------------------------------
+# SceneLayout lookups
+
+
+def test_layout_lookup_follows_appends():
+    room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
+    layout = SceneLayout(regions=[room], objects=[cube(oid="a")])
+    assert layout.object("a").id == "a"
+    b = cube(oid="b")
+    layout.objects.append(b)
+    assert layout.object("b") is b
+    assert layout.object("a") is layout.objects[0]
+    hall = Region("hall", ((5.0, 0.0), (8.0, 0.0), (8.0, 4.0), (5.0, 4.0)))
+    assert layout.region("room") is room
+    layout.regions.append(hall)
+    assert layout.region("hall") is hall
+
+
+def test_layout_lookup_never_returns_a_replaced_object():
+    a, b = cube(oid="a"), cube(oid="b")
+    layout = SceneLayout(objects=[a, b])
+    assert layout.object("a") is a and layout.object("b") is b
+    layout.objects = [b, a]  # both indexed positions now hold the other id
+    assert layout.object("a") is a and layout.object("b") is b
+    new_b = cube(oid="b")
+    layout.objects = [new_b]  # `a` gone, `b` replaced
+    assert layout.object("b") is new_b
+    with pytest.raises(KeyError):
+        layout.object("a")
+    c = cube(oid="c")
+    layout.objects[0] = c  # in place, same length
+    assert layout.object("c") is c
+    with pytest.raises(KeyError):
+        layout.object("b")
+
+
+def test_layout_missing_ids_raise_key_error():
+    layout = SceneLayout(regions=[L_ROOM], objects=[cube(oid="a")])
+    with pytest.raises(KeyError):
+        layout.object("ghost")
+    with pytest.raises(KeyError):
+        layout.region("ghost")
+    assert layout.copy().object("a") is not layout.object("a")
+
+
+def test_constraint_on_a_missing_object_raises_eval_error():
+    cs = compile_constraints(
+        typecheck(parse("region room; object a; object b; assert a.pos.x < b.pos.x;")), seed=0
+    )
+    layout = SceneLayout(regions=[L_ROOM], objects=[cube(oid="a", pos=(1.0, 0.5, 1.0))])
+    ctx = cs.context(layout)
+    by_kind = {c.provenance: c for c in cs.constraints if "b" in c.involved}
+    with pytest.raises(EvalError, match="^identifier 'b' missing from layout$"):
+        evaluate(by_kind["explicit"], ctx)
+    with pytest.raises(EvalError, match="^object 'b' missing from layout$"):
+        evaluate(by_kind["hidden-gravity"], ctx)
+    layout.objects.append(cube(oid="b", pos=(2.0, 0.5, 1.0)))
+    assert evaluate(by_kind["explicit"], ctx)
