@@ -119,17 +119,18 @@ class SceneLayout:
     regions: list[Region] = field(default_factory=list)
     objects: list[SceneObject] = field(default_factory=list)
     connections: list[Connection] = field(default_factory=list)
-    # id -> position in `objects` / `regions`. A position is used only while
-    # the item there still has that id, so the lists may be appended to,
-    # reassigned or changed in place.
-    _object_at: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _region_at: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def object(self, object_id: str) -> SceneObject:
-        return _lookup(self.objects, self._object_at, object_id)
+        for obj in self.objects:
+            if obj.id == object_id:
+                return obj
+        raise KeyError(object_id)
 
     def region(self, region_id: str) -> Region:
-        return _lookup(self.regions, self._region_at, region_id)
+        for region in self.regions:
+            if region.id == region_id:
+                return region
+        raise KeyError(region_id)
 
     def region_of(self, obj: SceneObject) -> Region:
         return self.region(obj.region)
@@ -140,27 +141,6 @@ class SceneLayout:
             objects=[obj.copy() for obj in self.objects],
             connections=list(self.connections),
         )
-
-
-def _lookup(items: list, index: dict[str, int], key: str):
-    """The first item of `items` whose id is `key`, through `index`.
-
-    An index entry is checked against the list before it is used; a stale
-    or missing one falls back to a scan, which re-indexes the list when
-    it finds the item. A missing id raises `KeyError`.
-    """
-    i = index.get(key)
-    if i is not None and i < len(items):
-        item = items[i]
-        if item.id == key:
-            return item
-    for item in items:
-        if item.id == key:
-            index.clear()
-            for i, other in enumerate(items):
-                index.setdefault(other.id, i)
-            return item
-    raise KeyError(key)
 
 
 @dataclass(frozen=True)

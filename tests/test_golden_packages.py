@@ -7,16 +7,11 @@ The cases are the three README fixtures at the default T=5 and two
 expected files were written by the code before candidate scoring was
 bounded and boxes were built in scalar math; a performance change must
 leave them as they are.
-
-Regenerate (only when a change is meant to alter packages):
-
-    PYTHONPATH=src:tests python -c "import test_golden_packages as g; g.regenerate()"
 """
 
 from __future__ import annotations
 
 import io
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -51,11 +46,3 @@ def test_package_matches_golden(name, tmp_path):
         expected = (GOLDEN / name / filename).read_bytes()
         assert (tmp_path / name / filename).read_bytes() == expected, f"{name}/{filename}"
 
-
-def regenerate() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, (source, T) in CASES.items():
-            _pipeline(source, T, Path(tmp) / name)
-            (GOLDEN / name).mkdir(parents=True, exist_ok=True)
-            for filename in FILES:
-                (GOLDEN / name / filename).write_bytes((Path(tmp) / name / filename).read_bytes())
