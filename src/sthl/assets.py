@@ -9,11 +9,14 @@ hash-based doubles are included so the whole stage is testable offline.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
-from sthl.errors import FormatError, NoAssetError, WeightError
+import numpy as np
+
+from sthl.errors import FormatError, NoAssetError, WeightError, read_text
 
 #: Retrieval-vs-generation threshold used by the stock pipeline.
 DEFAULT_TAU = 0.652
@@ -77,12 +80,25 @@ class AssetDecision:
     below_threshold: bool = False
 
 
+#: Visual scores of one query against every candidate of an index, in order.
+VisualScores = Callable[[AssetQuery], Sequence[float]]
+
+
 class SimilarityProvider(Protocol):
-    """Scores must already be normalized into [0, 1]."""
+    """Scores must already be normalized into [0, 1].
+
+    `visual` and `semantic` score one pair and are the definitions.
+    `visual_index(candidates)` prepares a database once and returns a
+    function giving, for a query, exactly
+    `[visual(c, query) for c in candidates]`, so that an embedding model
+    can score all candidates of a query in one batch.
+    """
 
     def visual(self, candidate: AssetCandidate, query: AssetQuery) -> float: ...
 
     def semantic(self, candidate: AssetCandidate, query: AssetQuery) -> float: ...
+
+    def visual_index(self, candidates: Sequence[AssetCandidate]) -> VisualScores: ...
 
 
 class AssetGenerator(Protocol):
@@ -142,9 +158,11 @@ def score_retrieval(
     provider: SimilarityProvider,
 ) -> float:
     """Weighted mean of visual and semantic similarity, in [0, 1]."""
+    total = visual_weight + semantic_weight
+    if not math.isfinite(total):
+        raise WeightError("similarity weights and their sum must be finite")
     if visual_weight < 0 or semantic_weight < 0:
         raise WeightError("similarity weights must be non-negative")
-    total = visual_weight + semantic_weight
     if total == 0:
         raise WeightError("at least one similarity weight must be positive")
     visual = provider.visual(candidate, query)
@@ -165,29 +183,56 @@ def decide(
 
     Without a generator, a below-threshold best candidate is still returned
     (flagged `below_threshold`) so pipelines stay total. An empty database
-    with no generator raises NoAssetError.
+    with no generator raises NoAssetError. Candidates that cannot win are
+    skipped (see `_decide`), so the decision is the one a full scan makes.
+    """
+    provider = provider or HashProvider()
+    return _decide(
+        query, database, provider.visual_index(database), tau, weights, provider, generator
+    )
+
+
+def _decide(
+    query: AssetQuery,
+    database: Sequence[AssetCandidate],
+    visual_scores: VisualScores,
+    tau: float,
+    weights: tuple[float, float],
+    provider: SimilarityProvider,
+    generator: AssetGenerator | None,
+) -> AssetDecision:
+    """`decide` over a database already indexed as `visual_scores`.
 
     Semantic scores lie in [0, 1] (the provider contract), so a candidate
     whose score with a perfect semantic match, `(λv·v + λt)/(λv+λt)`, is
     not above the best so far cannot win; it is skipped without a semantic
     call. Every rounding step is monotone, so that bound is never below
     the candidate's score and the decision is the one a full scan makes.
-    The first candidate is always scored, which validates the weights.
+    The first candidate is always scored, which validates the weights (a
+    finite sum keeps every bound finite). The bounds come from one vector
+    of visual scores; the candidates still in the running are those whose
+    bound is above the best score, refiltered each time the best improves,
+    so exactly the candidates a sequential scan would score are scored.
     """
-    provider = provider or HashProvider()
     visual_weight, semantic_weight = weights
-    total = visual_weight + semantic_weight
     best: AssetCandidate | None = None
     best_score = 0.0
-    for candidate in database:
-        if best is not None:
-            bound = (visual_weight * provider.visual(candidate, query) + semantic_weight) / total
-            if bound <= best_score:
-                continue
-        score = score_retrieval(candidate, query, visual_weight, semantic_weight, provider)
-        if best is None or score > best_score:
-            best = candidate
-            best_score = score
+    if database:
+        best = database[0]
+        best_score = score_retrieval(best, query, visual_weight, semantic_weight, provider)
+        visual = np.asarray(visual_scores(query), dtype=np.float64)
+        bounds = (float(visual_weight) * visual + float(semantic_weight)) / float(
+            visual_weight + semantic_weight
+        )
+        ahead = np.flatnonzero(bounds[1:] > best_score) + 1
+        while ahead.size:
+            candidate = database[int(ahead[0])]
+            score = score_retrieval(candidate, query, visual_weight, semantic_weight, provider)
+            ahead = ahead[1:]
+            if score > best_score:
+                best = candidate
+                best_score = score
+                ahead = ahead[bounds[ahead] > best_score]
 
     if best is not None and best_score >= tau:
         return AssetDecision(
@@ -284,7 +329,7 @@ class AssetDatabase:
         """Read an index file: one record per line,
         `id<TAB>model_path<TAB>thumbnail_path<TAB>description`."""
         entries = []
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -326,6 +371,29 @@ class HashProvider:
     def semantic(self, candidate: AssetCandidate, query: AssetQuery) -> float:
         return _unit_hash("semantic", self.salt, candidate.id, candidate.description, query.text)
 
+    def visual_index(self, candidates: Sequence[AssetCandidate]) -> VisualScores:
+        """Hash each candidate's part of the `visual` text once. The text
+        ends with the query, and UTF-8 encodes a concatenation as the
+        concatenation of the encodings, so finishing a copy of that state
+        with the query's bytes gives the digest `visual` takes."""
+        prefixes = [
+            hashlib.sha256(
+                "\x1f".join(("visual", self.salt, c.id, c.description, "")).encode("utf-8")
+            )
+            for c in candidates
+        ]
+
+        def scores(query: AssetQuery) -> np.ndarray:
+            tail = query.text.encode("utf-8")
+            states = [prefix.copy() for prefix in prefixes]
+            for state in states:
+                state.update(tail)
+            digests = b"".join([state.digest() for state in states])
+            # Four big-endian words per 32-byte digest; `visual` reads the first.
+            return np.frombuffer(digests, dtype=">u8")[::4] / float(1 << 64)
+
+        return scores
+
 
 @dataclass(frozen=True)
 class StubGenerator:
@@ -344,8 +412,13 @@ def decide_all(
     provider: SimilarityProvider | None = None,
     generator: AssetGenerator | None = None,
 ) -> list[AssetDecision]:
-    """Decide every entity independently (decisions are order-preserving)."""
+    """Decide every entity independently (decisions are order-preserving),
+    indexing the database once for all of them."""
+    provider = provider or HashProvider()
+    visual_scores = provider.visual_index(database)
     return [
-        decide(formulate_query(entity), database, tau, weights, provider, generator)
+        _decide(
+            formulate_query(entity), database, visual_scores, tau, weights, provider, generator
+        )
         for entity in entities
     ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -28,7 +29,7 @@ from sthl.dsl.nodes import (
     Declare,
 )
 from sthl.dsl.printer import print_assertion, print_expr
-from sthl.errors import SthlError
+from sthl.errors import SthlError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
@@ -110,7 +111,7 @@ def solve_output_document(
 
 
 def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(read_text(path))
     program = parse(doc["program"], filename=str(path))
     cfg = SolverConfig(**doc["config"])
     regions = [
@@ -230,7 +231,7 @@ def _load(
 ) -> tuple[Program, TypedProgram, BuiltScene]:
     """The front end every program command shares: parse, type-check, build."""
     name = str(path)
-    program = parse(Path(path).read_text(encoding="utf-8"), filename=name)
+    program = parse(read_text(path), filename=name)
     typed = typecheck(program, filename=name)
     built = build_scene(typed, seed=seed, wall_thickness=wall_thickness, filename=name)
     return program, typed, built
@@ -314,8 +315,7 @@ def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
-    program = parse(source, filename=args.file)
+    program = parse(read_text(args.file), filename=args.file)
     for note in program.notes:
         print(note, file=sys.stderr)
     if args.json_ast:
@@ -326,8 +326,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
-    sys.stdout.write(print_program(parse(source, filename=args.file)))
+    sys.stdout.write(print_program(parse(read_text(args.file), filename=args.file)))
     return 0
 
 
@@ -497,6 +496,17 @@ def _positive_int(minimum: int, what: str):
     return convert
 
 
+def _finite_float(text: str) -> float:
+    """A float option's value; NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sthl",
@@ -531,9 +541,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assets", help="formulate queries and decide retrieve-vs-generate")
     p.add_argument("file")
     p.add_argument("--db", default=None, help="asset index tsv")
-    p.add_argument("--tau", type=float, default=assets_mod.DEFAULT_TAU)
-    p.add_argument("--lambda-v", type=float, default=assets_mod.DEFAULT_VISUAL_WEIGHT)
-    p.add_argument("--lambda-t", type=float, default=assets_mod.DEFAULT_SEMANTIC_WEIGHT)
+    p.add_argument("--tau", type=_finite_float, default=assets_mod.DEFAULT_TAU)
+    p.add_argument("--lambda-v", type=_finite_float, default=assets_mod.DEFAULT_VISUAL_WEIGHT)
+    p.add_argument("--lambda-t", type=_finite_float, default=assets_mod.DEFAULT_SEMANTIC_WEIGHT)
     p.add_argument("--seed", **seed_kwargs)
     p.add_argument("--out", default=None, help="write decisions tsv here")
     p.set_defaults(func=_cmd_assets)
@@ -542,13 +552,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("solve_output")
     p.add_argument("--out", required=True, help="package directory")
     p.add_argument("--db", default=None)
-    p.add_argument("--tau", type=float, default=assets_mod.DEFAULT_TAU)
+    p.add_argument("--tau", type=_finite_float, default=assets_mod.DEFAULT_TAU)
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("eval", help="resemblance metrics between two programs")
     p.add_argument("--gen", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--tau", type=float, default=0.7)
+    p.add_argument("--tau", type=_finite_float, default=0.7)
     p.add_argument("--embeddings", default=None, help="precomputed vectors tsv")
     p.set_defaults(func=_cmd_eval)
 
@@ -558,8 +568,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", **seed_kwargs)
     p.add_argument("--k", type=_positive_int(1, "k"), default=3)
     p.add_argument("--T", type=_positive_int(0, "T"), default=5)
-    p.add_argument("--tau", type=float, default=assets_mod.DEFAULT_TAU)
-    p.add_argument("--eta", type=float, default=WALL_THICKNESS, help="wall thickness")
+    p.add_argument("--tau", type=_finite_float, default=assets_mod.DEFAULT_TAU)
+    p.add_argument("--eta", type=_finite_float, default=WALL_THICKNESS, help="wall thickness")
     p.add_argument("--db", default=None)
     p.add_argument("--out", default="scene_package")
     p.add_argument("--keep-intermediates", action="store_true")
@@ -580,7 +590,7 @@ def run(argv: list[str] | None = None) -> int:
     except SthlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

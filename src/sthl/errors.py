@@ -6,6 +6,8 @@ column (1-based) so callers can point at the offending spot.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class SthlError(Exception):
     """Base class for all toolchain errors."""
@@ -51,7 +53,7 @@ class PlacementError(SthlError):
 
 
 class WeightError(SthlError):
-    """Retrieval weights are degenerate (sum to zero)."""
+    """Retrieval weights are negative, not finite, or sum to zero."""
 
 
 class NoAssetError(SthlError):
@@ -75,4 +77,20 @@ class FormatError(SthlError):
 
 
 class IoError(SthlError):
-    """Filesystem failure while reading or writing a package."""
+    """Filesystem failure while reading an input or writing a package, or an
+    input that is not UTF-8 text."""
+
+
+def read_text(path: str | Path) -> str:
+    """Read an input file as UTF-8. A file that cannot be read or decoded
+    is an IoError whose message starts with the path (and, for a decode
+    error, gives the byte offset)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset "
+            f"{exc.start}: {exc.reason}"
+        ) from None
+    except OSError as exc:
+        raise IoError(f"{path}: {exc.strerror or exc}") from None

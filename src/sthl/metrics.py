@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from sthl import constraints as constraints_mod
 from sthl.dsl import parse, typecheck
 from sthl.dsl.typecheck import TypedProgram
-from sthl.errors import DimensionError, FormatError
+from sthl.errors import DimensionError, FormatError, read_text
 from sthl.scene import SceneLayout
 
 
@@ -291,7 +291,7 @@ class TsvEmbedder:
     def load(cls, path: str | Path, fallback: Embedder | None = None) -> "TsvEmbedder":
         vectors: dict[str, np.ndarray] = {}
         expected_dim: int | None = None
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -3,8 +3,9 @@
 `object_confidences` and `layout_confidences` are the pair-by-pair loops
 the matrix forms in `sthl.metrics` replaced, kept verbatim (with the
 name-occurrence test they used); `decide` is the full-scan retrieval loop
-that `sthl.assets.decide` prunes. The differential tests hold the library
-to these.
+that `sthl.assets.decide` prunes, and `sequential_prune` the candidate-by-
+candidate prune that its vector of visual scores replaced. The
+differential tests hold the library to these.
 """
 
 from __future__ import annotations
@@ -133,3 +134,28 @@ def decide(
         model=AssetHandle(best.model_path, best.native_extents),
         below_threshold=True,
     )
+
+
+def sequential_prune(
+    query: AssetQuery,
+    database: Sequence[AssetCandidate],
+    weights: tuple[float, float],
+    provider: SimilarityProvider,
+) -> list[str]:
+    """Ids of the candidates the per-candidate bound prune scores, in order:
+    the first always, then each whose `(λv·v + λt)/(λv+λt)`, from its own
+    `visual` call, is above the best score so far."""
+    visual_weight, semantic_weight = weights
+    total = visual_weight + semantic_weight
+    scored: list[str] = []
+    best_score = 0.0
+    for candidate in database:
+        if scored:
+            bound = (visual_weight * provider.visual(candidate, query) + semantic_weight) / total
+            if bound <= best_score:
+                continue
+        score = score_retrieval(candidate, query, visual_weight, semantic_weight, provider)
+        if not scored or score > best_score:
+            best_score = score
+        scored.append(candidate.id)
+    return scored

@@ -31,6 +31,9 @@ class FixedProvider:
     def semantic(self, candidate, query):
         return self._semantic
 
+    def visual_index(self, candidates):
+        return lambda query: [self.visual(c, query) for c in candidates]
+
 
 class ScriptedProvider:
     """Per-candidate-id scores."""
@@ -43,6 +46,9 @@ class ScriptedProvider:
 
     def semantic(self, candidate, query):
         return self.scores[candidate.id]
+
+    def visual_index(self, candidates):
+        return lambda query: [self.visual(c, query) for c in candidates]
 
 
 CANDS = [

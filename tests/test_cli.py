@@ -291,3 +291,67 @@ def test_nesting_limit_holds_through_every_stage(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}:6:{column}: nesting deeper than {MAX_NESTING} levels\n"
     )
+
+
+NON_FINITE_FLAGS = [
+    ("assets", BEDROOM, "--tau"),
+    ("assets", BEDROOM, "--lambda-v"),
+    ("assets", BEDROOM, "--lambda-t"),
+    ("export", "solve.json", "--tau"),
+    ("eval", "--gen", BEDROOM, "--gt", BEDROOM, "--tau"),
+    ("pipeline", BEDROOM, "--tau"),
+    ("pipeline", BEDROOM, "--eta"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-NaN", "1e999"])
+@pytest.mark.parametrize("argv", NON_FINITE_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_non_finite_float_flags_are_usage_errors(tmp_path, capsys, argv, value):
+    out = ["--out", str(tmp_path / "pkg")] if argv[0] in ("export", "pipeline") else []
+    with pytest.raises(SystemExit) as exc:
+        run([*argv[:-1], f"{argv[-1]}={value}", *out])
+    assert exc.value.code == 2
+    assert f"argument {argv[-1]}: must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "pkg").exists()
+
+
+NOT_UTF8 = b"region room;\n\xff\xfe\n"  # the first bad byte is at offset 13
+
+# Every input a command reads; `{bad}` is the unreadable one.
+INPUTS = [
+    ("parse", "{bad}"),
+    ("fmt", "{bad}"),
+    ("check", "{bad}"),
+    ("solve", "{bad}", "--out", "{tmp}/solve.json"),
+    ("assets", "{bad}"),
+    ("assets", "{program}", "--db", "{bad}"),
+    ("export", "{bad}", "--out", "{tmp}/pkg"),
+    ("export", "{solve}", "--db", "{bad}", "--out", "{tmp}/pkg"),
+    ("eval", "--gen", "{bad}", "--gt", "{program}"),
+    ("eval", "--gen", "{program}", "--gt", "{bad}"),
+    ("eval", "--gen", "{program}", "--gt", "{program}", "--embeddings", "{bad}"),
+    ("pipeline", "{bad}", "--out", "{tmp}/pkg"),
+    ("pipeline", "{program}", "--db", "{bad}", "--out", "{tmp}/pkg"),
+]
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+@pytest.mark.parametrize("argv", INPUTS, ids=lambda a: "-".join(x.strip("{}-") for x in a[:4]))
+def test_unreadable_inputs_are_errors_naming_the_file(tmp_path, capsys, argv, kind):
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(NOT_UTF8)
+    solve = tmp_path / "solve.json"
+    if "{solve}" in argv:
+        assert run(["solve", BEDROOM, "--T", "0", "--out", str(solve)]) == 0
+    names = {"bad": bad, "program": BEDROOM, "solve": solve, "tmp": tmp_path}
+    capsys.readouterr()
+    assert run([a.format(**names) for a in argv]) == 1
+    err = capsys.readouterr().err
+    if kind == "directory":
+        assert err == f"error: {bad}: Is a directory\n"
+    else:
+        assert err == f"error: {bad}: not UTF-8 text: byte 0xff at offset 13: invalid start byte\n"
+    assert not (tmp_path / "pkg").exists()

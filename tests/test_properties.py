@@ -54,6 +54,9 @@ def test_score_is_convex_combination(visual, semantic, weight_v, weight_t):
         def semantic(self, c, q):
             return semantic
 
+        def visual_index(self, candidates):
+            return lambda q: [self.visual(c, q) for c in candidates]
+
     candidate = AssetCandidate("c", "m", "t", "d")
     query = formulate_query(AssetEntity("object", "thing"))
     score = score_retrieval(candidate, query, weight_v, weight_t, P())

@@ -1,9 +1,11 @@
-"""Differential tests: the matrix-form resemblance confidences and the
-bound-pruned retrieval decision against the per-pair references in
-`scoring_oracles.py`."""
+"""Differential tests: the matrix-form resemblance confidences, the batch
+visual scores and the bound-pruned retrieval decision against the per-pair
+references in `scoring_oracles.py`."""
 
 from __future__ import annotations
 
+import math
+import random
 import zlib
 from dataclasses import dataclass
 
@@ -12,7 +14,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scoring_oracles as oracle
-from sthl.assets import AssetCandidate, AssetQuery, StubGenerator, decide
+from sthl import assets
+from sthl.assets import (
+    AssetCandidate,
+    AssetEntity,
+    AssetQuery,
+    HashProvider,
+    StubGenerator,
+    decide,
+    decide_all,
+    formulate_query,
+)
 from sthl.errors import DimensionError, NoAssetError, WeightError
 from sthl.metrics import (
     TrigramEmbedder,
@@ -147,6 +159,9 @@ class ScriptedScores:
         self.semantic_calls += 1
         return self.scores[candidate.id][1]
 
+    def visual_index(self, candidates):
+        return lambda query: [self.visual(c, query) for c in candidates]
+
 
 QUERY = AssetQuery(text="a 3D model of a chair", kind="object")
 # A few exact values so that ties, with each other and with tau, are common.
@@ -185,6 +200,9 @@ def test_pruned_decide_matches_full_scan(scores, weights, tau, generate):
     database, provider = database_of(scores)
     generator = StubGenerator() if generate else None
     actual = outcome(lambda: decide(QUERY, database, tau, weights, provider, generator))
+    # Exactly the candidates the per-candidate prune scores get a semantic call.
+    scored = provider.semantic_calls
+    assert scored == len(oracle.sequential_prune(QUERY, database, weights, provider))
     expected = outcome(lambda: oracle.decide(QUERY, database, tau, weights, provider, generator))
     assert actual == expected
     if not isinstance(actual, tuple):
@@ -200,7 +218,13 @@ def test_decide_skips_candidates_that_cannot_win():
     assert provider.semantic_calls == 1
 
 
-@pytest.mark.parametrize("weights", [(0, 0), (0.0, 0.0), (-1, 2), (2, -1), (-1, -1)])
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0, 0), (0.0, 0.0), (-1, 2), (2, -1), (-1, -1),
+        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, -math.inf), (1e308, 1e308),
+    ],
+)
 @pytest.mark.parametrize("size", [1, 5])
 def test_bad_weights_raise_on_a_non_empty_database(weights, size):
     database, provider = database_of([(0.5, 0.5)] * size)
@@ -216,3 +240,106 @@ def test_empty_database_raises_no_asset_error_or_generates(weights):
         decide(QUERY, [], 0.652, weights, ScriptedScores({}))
     decision = decide(QUERY, [], 0.652, weights, ScriptedScores({}), StubGenerator())
     assert decision.verdict == "generated" and decision.best_candidate is None
+
+
+# ---------------------------------------------------------------------------
+# Batch visual scores and the pruned decision on a full-size index
+
+# Field text: non-ASCII, the field separator `visual` joins with, and empty.
+field_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(("", "\x1f", "a\x1fb", "chaise é", "椅子", "🪑 lamp", "\x00")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    salt=field_text,
+    candidates=st.lists(st.tuples(field_text, field_text), max_size=6),
+    queries=st.lists(field_text, min_size=1, max_size=3),
+)
+@example(salt="", candidates=[], queries=[""])
+@example(salt="\x1f", candidates=[("", ""), ("\x1f", "")], queries=["", "\x1f"])
+def test_hash_provider_batch_scores_equal_per_pair_bits(salt, candidates, queries):
+    provider = HashProvider(salt)
+    database = [AssetCandidate(i, "m", "t", d) for i, d in candidates]
+    scores = provider.visual_index(database)
+    for text in queries:
+        query = AssetQuery(text=text, kind="object")
+        batch = [float(v).hex() for v in scores(query)]
+        assert batch == [provider.visual(c, query).hex() for c in database]
+
+
+CATEGORIES = ("chair", "table", "lamp", "sofa", "shelf", "desk", "bed", "rug", "plant", "stool")
+COLORS = ("red", "blue", "white", "black", "walnut", "grey", "", "teal")
+MATERIALS = ("oak", "pine", "steel", "glass", "velvet", "", "linen")
+FEATURES = ("modern", "rustic", "tall", "low", "round", "vintage", "matte")
+
+
+def seeded_index(seed: int, size: int = 2000) -> list[AssetCandidate]:
+    rng = random.Random(seed)
+    return [
+        AssetCandidate(
+            f"a{i:04d}",
+            f"models/a{i:04d}.glb",
+            f"thumbs/a{i:04d}.png",
+            f"a 3D model of a {rng.choice(COLORS)} {rng.choice(CATEGORIES)} made with "
+            f"{rng.choice(MATERIALS)} that is {' '.join(rng.sample(FEATURES, 2))}",
+        )
+        for i in range(size)
+    ]
+
+
+def seeded_entities(seed: int, count: int) -> list[AssetEntity]:
+    rng = random.Random(seed)
+    return [
+        AssetEntity(
+            "object",
+            rng.choice(CATEGORIES),
+            rng.choice(COLORS),
+            rng.choice(MATERIALS),
+            " ".join(rng.sample(FEATURES, rng.randrange(3))),
+        )
+        for _ in range(count)
+    ]
+
+
+INDEX = seeded_index(11)
+ENTITIES = seeded_entities(12, 8)
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_pruned_decisions_on_a_full_index_match_full_scan(weights):
+    provider, generator = HashProvider(), StubGenerator()
+    expected = [
+        oracle.decide(formulate_query(e), INDEX, 0.652, weights, provider, generator)
+        for e in ENTITIES
+    ]
+    assert decide_all(ENTITIES, INDEX, 0.652, weights, provider, generator) == expected
+    single = [
+        decide(formulate_query(e), INDEX, 0.652, weights, provider, generator) for e in ENTITIES
+    ]
+    assert single == expected
+
+
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_pruned_decisions_score_what_the_sequential_prune_scores(monkeypatch, weights):
+    provider = HashProvider("s")
+    scored: list[str] = []
+    score_retrieval = assets.score_retrieval
+
+    def counting(candidate, *args):
+        scored.append(candidate.id)
+        return score_retrieval(candidate, *args)
+
+    monkeypatch.setattr(assets, "score_retrieval", counting)
+    decide_all(ENTITIES, INDEX, 0.652, weights, provider, StubGenerator())
+    monkeypatch.undo()
+    expected = [
+        cid
+        for e in ENTITIES
+        for cid in oracle.sequential_prune(formulate_query(e), INDEX, weights, provider)
+    ]
+    assert scored == expected
+    if weights != (0, 1):  # with λv = 0 every bound is 1, so none is skipped
+        assert len(scored) < len(INDEX) * len(ENTITIES)
