@@ -335,8 +335,13 @@ INPUTS = [
 ]
 
 
+def _input_id(argv: tuple[str, ...]) -> str:
+    flag = argv[argv.index("{bad}") - 1]
+    return f"{argv[0]}{flag if flag.startswith('--') else '-file'}"
+
+
 @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
-@pytest.mark.parametrize("argv", INPUTS, ids=lambda a: "-".join(x.strip("{}-") for x in a[:4]))
+@pytest.mark.parametrize("argv", INPUTS, ids=_input_id)
 def test_unreadable_inputs_are_errors_naming_the_file(tmp_path, capsys, argv, kind):
     bad = tmp_path / "input"
     if kind == "directory":
