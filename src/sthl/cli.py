@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from sthl import assets as assets_mod
@@ -29,7 +29,7 @@ from sthl.dsl.nodes import (
     Declare,
 )
 from sthl.dsl.printer import print_assertion, print_expr
-from sthl.errors import SthlError, read_text
+from sthl.errors import FormatError, SthlError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
@@ -46,8 +46,32 @@ def _transform_doc(t: Transform) -> dict:
 
 def _read_transform(doc: dict) -> Transform:
     return Transform(
-        pos=tuple(doc["pos"]), rot=tuple(doc["rotXZY"]), scale=tuple(doc["scale"])
+        pos=_numbers(doc["pos"], 3),
+        rot=_numbers(doc["rotXZY"], 3),
+        scale=_numbers(doc["scale"], 3),
     )
+
+
+# Checked reads of solve-output values: a TypeError here becomes a
+# FormatError naming the file in `load_solve_output`.
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, not {value!r}")
+    return float(value)
+
+
+def _numbers(values, count: int) -> tuple:
+    if not isinstance(values, list) or len(values) != count:
+        raise TypeError(f"expected a list of {count} numbers, not {values!r}")
+    return tuple(_number(v) for v in values)
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, not {value!r}")
+    return value
 
 
 def solve_output_document(
@@ -111,33 +135,63 @@ def solve_output_document(
 
 
 def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
-    doc = json.loads(read_text(path))
-    program = parse(doc["program"], filename=str(path))
-    cfg = SolverConfig(**doc["config"])
+    """Read a file written by `sthl solve --out`.
+
+    Invalid JSON, a missing key, a value of the wrong type or not finite,
+    an object in an unlisted region and an out-of-range `k` or `T` are a
+    FormatError naming the file. Only the `config` keys that are
+    `SolverConfig` fields are read, so files holding more keys still load.
+    """
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    try:
+        return _read_solve_output(doc, path)
+    except KeyError as exc:
+        raise FormatError(f"{path}: solve output lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed solve output: {exc}") from None
+
+
+def _read_solve_output(
+    doc: dict, path: Path
+) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
+    program = parse(_typed(doc["program"], str), filename=str(path))
+    cfg = SolverConfig(**{f.name: _typed(doc["config"][f.name], int) for f in fields(SolverConfig)})
     regions = [
         Region(
-            id=r["id"],
-            vertices=tuple(tuple(v) for v in r["vertices"]),
-            floor_y=r["floorY"],
-            height=r["height"],
-            wall_thickness=r["wallThickness"],
+            id=_typed(r["id"], str),
+            vertices=tuple(_numbers(v, 2) for v in _typed(r["vertices"], list)),
+            floor_y=_number(r["floorY"]),
+            height=_number(r["height"]),
+            wall_thickness=_number(r["wallThickness"]),
         )
         for r in doc["scene"]["regions"]
     ]
+    region_ids = {r.id for r in regions}
     objects = [
         SceneObject(
-            id=o["id"],
-            category=o["category"],
-            dimensions=tuple(o["dimensions"]),
-            color=o["color"],
-            material=o["material"],
-            features=o["features"],
-            region=o["region"],
+            id=_typed(o["id"], str),
+            category=_typed(o["category"], str),
+            dimensions=_numbers(o["dimensions"], 3),
+            color=_typed(o["color"], str),
+            material=_typed(o["material"], str),
+            features=_typed(o["features"], str),
+            region=_typed(o["region"], str),
         )
         for o in doc["scene"]["objects"]
     ]
+    for obj in objects:
+        if obj.region not in region_ids:
+            raise ValueError(f"object {obj.id!r} names unknown region {obj.region!r}")
     connections = [
-        Connection(c["regionA"], c["regionB"], c["category"], tuple(c["dimensions"]))
+        Connection(
+            _typed(c["regionA"], str),
+            _typed(c["regionB"], str),
+            _typed(c["category"], str),
+            _numbers(c["dimensions"], 3),
+        )
         for c in doc["scene"].get("connections", [])
     ]
     built = BuiltScene(objects=objects, regions=regions)
@@ -152,22 +206,24 @@ def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, Sol
             obj.transform = _read_transform(rec["transforms"][obj.id])
         records.append(
             IterationRecord(
-                index=rec["index"],
+                index=_typed(rec["index"], int),
                 layout=layout,
-                unsatisfied=tuple(rec["unsatisfied"]),
-                ratio=rec["ratio"],
-                batch=tuple(rec["batch"]),
-                moved=tuple(rec["moved"]),
+                unsatisfied=tuple(_typed(i, int) for i in rec["unsatisfied"]),
+                ratio=_number(rec["ratio"]),
+                batch=tuple(_typed(i, int) for i in rec["batch"]),
+                moved=tuple(_typed(name, str) for name in rec["moved"]),
             )
         )
     best_index = doc["report"]["bestIndex"]
-    best = next(r for r in records if r.index == best_index)
+    best = next((r for r in records if r.index == best_index), None)
+    if best is None:
+        raise ValueError(f"bestIndex {best_index!r} names no iteration")
     report = SolveReport(
         iterations=records,
         best_index=best_index,
         best_layout=best.layout,
-        best_ratio=doc["report"]["bestRatio"],
-        terminated=doc["report"]["terminated"],
+        best_ratio=_number(doc["report"]["bestRatio"]),
+        terminated=_typed(doc["report"]["terminated"], str),
     )
     return program, built, report, cfg
 

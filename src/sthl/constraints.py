@@ -41,7 +41,7 @@ from sthl.dsl.nodes import (
     expr_idents,
     referenced_idents,
 )
-from sthl.dsl.printer import print_assertion, print_expr
+from sthl.dsl.printer import print_assertion
 from sthl.dsl.typecheck import TypedProgram
 from sthl.errors import EvalError
 
@@ -105,6 +105,8 @@ class ConstraintSet:
         self._by_name = {name: tuple(cs) for name, cs in by_name.items()}
 
     def context(self, layout: scene.SceneLayout, rng_seed: int = 0) -> "EvalContext":
+        """The one way to get a context for evaluating this set on `layout`.
+        `rng_seed` is stored but not read; every `rand` is already frozen."""
         return EvalContext(layout, self.bindings, rng_seed)
 
     def by_id(self, constraint_id: int) -> CompiledConstraint:
@@ -120,7 +122,6 @@ class EvalContext:
     layout: scene.SceneLayout
     bindings: dict[str, Expr] = field(default_factory=dict)
     rng_seed: int = 0
-    support_tolerance: float = scene.SUPPORT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def _eval_assertion(node: CompiledAssertion, ctx: EvalContext) -> bool:
         layout = ctx.layout
         return not scene.collides(_object(layout, node.first), _object(layout, node.second))
     if isinstance(node, Supported):
-        return scene.supported(_object(ctx.layout, node.name), ctx.layout, ctx.support_tolerance)
+        return scene.supported(_object(ctx.layout, node.name), ctx.layout)
     if isinstance(node, InsidePred):
         try:
             region = ctx.layout.region(node.outer)
@@ -535,60 +536,6 @@ def _eval_propref(node: PropRef, ctx: EvalContext) -> Value:
     if node.component is None:
         return value
     return value[_COMPONENT_INDEX[node.prop][node.component]]
-
-
-# ---------------------------------------------------------------------------
-# Syntactic dedupe
-
-
-def dedupe_syntactic(cs: ConstraintSet) -> ConstraintSet:
-    """Drop constraints whose normalized assertion trees coincide.
-
-    Normalization flattens and sorts `&&`/`||` chains and orders the
-    operands of `=`/`!=` comparisons; it does not attempt semantic
-    subsumption. Surviving constraints keep their original ids.
-    """
-    seen: set[str] = set()
-    kept: list[CompiledConstraint] = []
-    for constraint in cs.constraints:
-        key = _normal_key(constraint.assertion)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(constraint)
-    return ConstraintSet(
-        constraints=kept,
-        allow_collide=cs.allow_collide,
-        allow_outside=cs.allow_outside,
-        bindings=cs.bindings,
-        region_assignments=cs.region_assignments,
-    )
-
-
-def _normal_key(node: CompiledAssertion) -> str:
-    if isinstance(node, NoCollision):
-        a, b = sorted((node.first, node.second))
-        return f"nocollide({a},{b})"
-    if isinstance(node, Supported):
-        return f"supported({node.name})"
-    if isinstance(node, InsidePred):
-        return f"inside({node.inner},{node.outer})"
-    if isinstance(node, (And, Or)):
-        op = "and" if isinstance(node, And) else "or"
-        return f"{op}({','.join(sorted(_flatten(node, type(node))))})"
-    if isinstance(node, Not):
-        return f"not({_normal_key(node.operand)})"
-    assert isinstance(node, Compare)
-    left, right = print_expr(node.left), print_expr(node.right)
-    if node.op in ("=", "!="):
-        left, right = sorted((left, right))
-    return f"cmp({node.op},{left},{right})"
-
-
-def _flatten(node: Assertion, kind: type) -> list[str]:
-    if isinstance(node, kind):
-        return _flatten(node.left, kind) + _flatten(node.right, kind)  # type: ignore[attr-defined]
-    return [_normal_key(node)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from sthl.constraints import (
     evaluate,
 )
 from sthl.dsl import Program, parse, print_program, typecheck
-from sthl.errors import AssetMismatch, FormatError, IoError
+from sthl.errors import AssetMismatch, FormatError, IoError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
-from sthl.solver import SolveReport, SolverConfig, _context, render_report, solve
+from sthl.solver import SolveReport, SolverConfig, _results, render_report, solve
 
 SCHEMA_VERSION = 1
 
@@ -178,7 +178,7 @@ def assemble(
     if missing:
         raise ValueError(f"asset decisions missing for objects: {', '.join(missing)}")
 
-    layout, reverted = _snap_supported(layout, cs, cfg)
+    layout, reverted = _snap_supported(layout, cs)
 
     packaged = []
     manifest = []
@@ -244,16 +244,13 @@ def _rests_on_floor(obj: SceneObject, layout: SceneLayout) -> bool:
     return abs(scene_mod.bottom_y(obj) - region.floor_y) <= scene_mod.SUPPORT_TOLERANCE
 
 
-def _snap_supported(
-    layout: SceneLayout, cs: ConstraintSet, cfg: SolverConfig
-) -> tuple[SceneLayout, tuple[str, ...]]:
+def _snap_supported(layout: SceneLayout, cs: ConstraintSet) -> tuple[SceneLayout, tuple[str, ...]]:
     layout = layout.copy()
     reverted: list[str] = []
-    ctx = _context(cs, layout, cfg)
-    before = {c.id: evaluate(c, ctx) for c in cs.constraints}
+    before = _results(cs, layout)
     order = sorted(layout.objects, key=lambda o: (scene_mod.bottom_y(o), o.id))
     for obj in order:
-        if not scene_mod.supported(obj, layout, cfg.support_tolerance):
+        if not scene_mod.supported(obj, layout):
             continue
         surface = scene_mod.support_surface_y(obj, layout)
         delta = surface - scene_mod.bottom_y(obj)
@@ -262,8 +259,7 @@ def _snap_supported(
         original = obj.transform
         x, y, z = original.pos
         obj.transform = Transform((x, y + delta, z), original.rot, original.scale)
-        ctx = _context(cs, layout, cfg)
-        after = {c.id: evaluate(c, ctx) for c in cs.constraints}
+        after = _results(cs, layout)
         if any(before[cid] and not after[cid] for cid in before):
             obj.transform = original
             reverted.append(obj.id)
@@ -414,13 +410,16 @@ def _triple(values, what: str) -> Vec:
 
 
 def read_package(package_dir: str | Path) -> ScenePackage:
-    """Reconstruct a ScenePackage from a directory written by write_package."""
+    """Reconstruct a ScenePackage from a directory written by write_package.
+
+    A malformed or missing file is a FormatError; a file that cannot be
+    read or is not UTF-8 text is an IoError naming it."""
     root = Path(package_dir)
     scene_path = root / SCENE_FILE
     if not scene_path.exists():
         raise FormatError(f"{scene_path}: missing scene document")
     try:
-        doc = json.loads(scene_path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(scene_path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{scene_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
@@ -485,7 +484,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
     if not manifest_path.exists():
         raise FormatError(f"{manifest_path}: missing manifest")
     manifest = []
-    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(manifest_path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -519,14 +518,14 @@ def read_package(package_dir: str | Path) -> ScenePackage:
     metadata_path = root / METADATA_FILE
     if not metadata_path.exists():
         raise FormatError(f"{metadata_path}: missing metadata")
-    metadata_text = metadata_path.read_text(encoding="utf-8")
+    metadata_text = read_text(metadata_path)
     try:
         program = parse(metadata_text)
     except Exception as exc:
         raise FormatError(f"{metadata_path}: embedded program does not parse: {exc}") from exc
 
     report_path = root / REPORT_FILE
-    report_text = report_path.read_text(encoding="utf-8") if report_path.exists() else ""
+    report_text = read_text(report_path) if report_path.exists() else ""
 
     return ScenePackage(
         objects=objects,

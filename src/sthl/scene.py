@@ -26,7 +26,7 @@ from sthl.errors import DegenerateRegion
 Vec = tuple[float, float, float]
 Point2 = tuple[float, float]
 
-#: Default snap distance for the gravity/support predicate (meters).
+#: Snap distance for the gravity/support predicate (meters).
 SUPPORT_TOLERANCE = 0.005
 
 #: Minimum footprint overlap for one object to support another.
@@ -484,16 +484,16 @@ def top_y(obj: SceneObject) -> float:
     return world_box(obj).bounds[4]
 
 
-def supported(obj: SceneObject, layout: SceneLayout, tolerance: float = SUPPORT_TOLERANCE) -> bool:
+def supported(obj: SceneObject, layout: SceneLayout) -> bool:
     """True iff the object rests on its region floor or on another object.
 
-    Resting on another object requires the supporter's top face within
-    `tolerance` of this object's bottom and a footprint overlap of at least
-    half this object's own footprint.
+    Either way this object's bottom lies within `SUPPORT_TOLERANCE` of the
+    surface; resting on another object also needs a footprint overlap of
+    at least half this object's own footprint.
     """
     bottom = bottom_y(obj)
     region = layout.region_of(obj)
-    if abs(bottom - region.floor_y) <= tolerance:
+    if abs(bottom - region.floor_y) <= SUPPORT_TOLERANCE:
         return True
     own_area = polygon_area(footprint(obj))
     if own_area <= 0:
@@ -501,7 +501,7 @@ def supported(obj: SceneObject, layout: SceneLayout, tolerance: float = SUPPORT_
     for other in layout.objects:
         if other.id == obj.id:
             continue
-        if abs(bottom - top_y(other)) > tolerance:
+        if abs(bottom - top_y(other)) > SUPPORT_TOLERANCE:
             continue
         if footprint_overlap(obj, other) >= SUPPORT_OVERLAP * own_area:
             return True

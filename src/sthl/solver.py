@@ -22,18 +22,23 @@ from sthl.scene import Region, SceneLayout, SceneObject, Transform
 
 _PAD = 1e-6  # clearance added when separating colliding pairs
 
+#: Moves one repair call may accept before the batch is given up.
+MOVES_PER_PROPOSAL = 8
+#: Random positions drawn per object, in placement and in each repair move.
+CANDIDATE_SAMPLES = 64
+#: Grid step (meters) of the local moves around an object's position.
+TRANSLATION_STEP = 0.1
+#: Yaw angles (degrees) placement and repair may give an object.
+ROTATION_STEPS = (0.0, 90.0, 180.0, 270.0)
+#: Upper bound on the collision-separation sweeps of physics relaxation.
+RELAXATION_SWEEPS = 32
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     batch_size: int = 3
     max_iterations: int = 5
     rng_seed: int = 0
-    moves_per_proposal: int = 8
-    candidate_samples: int = 64
-    translation_step: float = 0.1
-    rotation_steps: tuple[float, ...] = (0.0, 90.0, 180.0, 270.0)
-    relaxation_sweeps: int = 32
-    support_tolerance: float = scene.SUPPORT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -82,14 +87,8 @@ class BatchSolver(Protocol):
 # Evaluation helpers
 
 
-def _context(cs: ConstraintSet, layout: SceneLayout, cfg: SolverConfig):
-    ctx = cs.context(layout, rng_seed=cfg.rng_seed)
-    ctx.support_tolerance = cfg.support_tolerance
-    return ctx
-
-
-def _results(cs: ConstraintSet, layout: SceneLayout, cfg: SolverConfig) -> dict[int, bool]:
-    ctx = _context(cs, layout, cfg)
+def _results(cs: ConstraintSet, layout: SceneLayout) -> dict[int, bool]:
+    ctx = cs.context(layout)
     return {c.id: evaluate(c, ctx) for c in cs.constraints}
 
 
@@ -131,8 +130,8 @@ def initial_placement(
     """Greedy seeded baseline layout.
 
     Objects are placed largest footprint first so bulky furniture claims
-    space early. For each object, `candidate_samples` floor positions are
-    drawn inside its region (rotation drawn from `rotation_steps`) and the
+    space early. For each object, `CANDIDATE_SAMPLES` floor positions are
+    drawn inside its region (rotation drawn from `ROTATION_STEPS`) and the
     one violating the fewest constraints among already-placed objects wins
     (the earliest on ties). A candidate's count stops once it reaches the
     best so far, since such a candidate cannot win; the winner is the one a
@@ -141,6 +140,7 @@ def initial_placement(
     """
     rng = rng or random.Random(cfg.rng_seed)
     layout = SceneLayout(regions=list(regions), objects=[])
+    ctx = cs.context(layout)
     order = sorted(
         range(len(objects)),
         key=lambda i: (-objects[i].extents()[0] * objects[i].extents()[2], i),
@@ -177,8 +177,8 @@ def initial_placement(
         best_transform: Transform | None = None
         layout.objects.append(obj)
         known.add(obj.id)
-        for attempt in range(cfg.candidate_samples):
-            ry = rng.choice(cfg.rotation_steps)
+        for attempt in range(CANDIDATE_SAMPLES):
+            ry = rng.choice(ROTATION_STEPS)
             rex, rey, rez = _rotated_extents(obj, ry)
             if rex > max_x - min_x or rez > max_z - min_z:
                 continue
@@ -192,7 +192,6 @@ def initial_placement(
             obj.transform = candidate
             if not scene.inside(obj, region):
                 continue
-            ctx = _context(cs, layout, cfg)
             # Stop counting once the candidate cannot beat the best so far;
             # the first candidate scored counts every constraint.
             bound = len(relevant) if best is None else best[0]
@@ -228,21 +227,21 @@ def initial_placement(
 # Physics relaxation
 
 
-def physics_relaxation(layout: SceneLayout, cs: ConstraintSet, cfg: SolverConfig) -> SceneLayout:
+def physics_relaxation(layout: SceneLayout, cs: ConstraintSet) -> SceneLayout:
     """Drop unsupported objects onto the nearest surface, then separate
     colliding pairs along minimum-translation directions (best effort)."""
     layout = layout.copy()
-    _drop_pass(layout, cfg)
-    for _ in range(cfg.relaxation_sweeps):
+    _drop_pass(layout)
+    for _ in range(RELAXATION_SWEEPS):
         if not _separation_sweep(layout, cs):
             break
     return layout
 
 
-def _drop_pass(layout: SceneLayout, cfg: SolverConfig) -> None:
+def _drop_pass(layout: SceneLayout) -> None:
     order = sorted(layout.objects, key=lambda o: (scene.bottom_y(o), o.id))
     for obj in order:
-        if scene.supported(obj, layout, cfg.support_tolerance):
+        if scene.supported(obj, layout):
             continue
         target = scene.support_surface_y(obj, layout)
         bottom = scene.bottom_y(obj)
@@ -328,9 +327,10 @@ def local_search_batch_solve(
     if not movable:
         return layout, moved
 
-    results = _results(cs, layout, cfg)
+    results = _results(cs, layout)
+    ctx = cs.context(layout)
 
-    for _ in range(cfg.moves_per_proposal):
+    for _ in range(MOVES_PER_PROPOSAL):
         if all(results[c.id] for c in batch):
             break
         best_key: tuple[float, float, int, int] | None = None
@@ -340,9 +340,8 @@ def local_search_batch_solve(
             original = obj.transform
             affected = cs.touching(name)
             before = sum(results[c.id] for c in affected)
-            for cand_index, candidate in enumerate(_candidates(obj, layout, cfg, rng)):
+            for cand_index, candidate in enumerate(_candidates(obj, layout, rng)):
                 obj.transform = candidate
-                ctx = _context(cs, layout, cfg)
                 outcome = {c.id: evaluate(c, ctx) for c in affected}
                 gain = sum(outcome.values()) - before
                 if gain > 0:
@@ -391,15 +390,13 @@ def _rest_height(
     return best + ey / 2.0
 
 
-def _candidates(
-    obj: SceneObject, layout: SceneLayout, cfg: SolverConfig, rng: random.Random
-) -> list[Transform]:
+def _candidates(obj: SceneObject, layout: SceneLayout, rng: random.Random) -> list[Transform]:
     region = layout.region_of(obj)
     min_x, min_z, max_x, max_z = region.bounds()
     t = obj.transform
     ex, ey, ez = obj.extents()
     fx, fz = (ez, ex) if t.rot[2] % 180.0 == 90.0 else (ex, ez)
-    step = cfg.translation_step
+    step = TRANSLATION_STEP
     out: list[Transform] = []
 
     # Local grid around the current position.
@@ -429,13 +426,13 @@ def _candidates(
         out.append(Transform((ox, y, oz), t.rot, t.scale))
 
     # Yaw rotations.
-    for ry in cfg.rotation_steps:
+    for ry in ROTATION_STEPS:
         if ry != t.rot[2]:
             out.append(Transform(t.pos, (t.rot[0], t.rot[1], ry), t.scale))
 
     # Seeded random jumps across the region; even draws land at rest height,
     # odd draws sample the free vertical range.
-    for i in range(cfg.candidate_samples):
+    for i in range(CANDIDATE_SAMPLES):
         lo_x, hi_x = min_x + fx / 2.0, max_x - fx / 2.0
         lo_z, hi_z = min_z + fz / 2.0, max_z - fz / 2.0
         if lo_x > hi_x or lo_z > hi_z:
@@ -547,8 +544,8 @@ def solve(
     object_ids = {obj.id for obj in objects}
 
     layout = initial_placement(objects, regions, cs, cfg, rng)
-    layout = physics_relaxation(layout, cs, cfg)
-    results = _results(cs, layout, cfg)
+    layout = physics_relaxation(layout, cs)
+    results = _results(cs, layout)
     records = [
         IterationRecord(0, layout.copy(), _unsatisfied(results), _ratio(results))
     ]
@@ -563,7 +560,7 @@ def solve(
         layout, moved = proposer(layout, batch, cs, cfg, rng)
         batch_objects = set(_movable_ids(batch, layout))
         layout, clamped = enforce_bounds(layout, cs, only=batch_objects)
-        results = _results(cs, layout, cfg)
+        results = _results(cs, layout)
         records.append(
             IterationRecord(
                 index=t,
@@ -613,7 +610,7 @@ def render_report(
             f"unsatisfied={len(record.unsatisfied)} batch={batch} moved={moved}"
         )
     lines.append("# constraints")
-    ctx = _context(cs, report.best_layout, cfg)
+    results = _results(cs, report.best_layout)
     for constraint in cs.constraints:
-        lines.append(format_verdict_line(constraint, evaluate(constraint, ctx)))
+        lines.append(format_verdict_line(constraint, results[constraint.id]))
     return "\n".join(lines) + "\n"

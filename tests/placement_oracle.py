@@ -15,7 +15,7 @@ from sthl import scene
 from sthl.constraints import ConstraintSet, evaluate
 from sthl.errors import PlacementError
 from sthl.scene import Region, SceneLayout, SceneObject, Transform
-from sthl.solver import SolverConfig, _context, _rotated_extents
+from sthl.solver import CANDIDATE_SAMPLES, ROTATION_STEPS, SolverConfig, _rotated_extents
 
 
 def initial_placement(
@@ -28,8 +28,8 @@ def initial_placement(
     """Greedy seeded baseline layout.
 
     Objects are placed largest footprint first so bulky furniture claims
-    space early. For each object, `candidate_samples` floor positions are
-    drawn inside its region (rotation drawn from `rotation_steps`) and the
+    space early. For each object, `CANDIDATE_SAMPLES` floor positions are
+    drawn inside its region (rotation drawn from `ROTATION_STEPS`) and the
     one violating the fewest constraints among already-placed objects wins.
     Objects carrying an explicit position from the program keep it.
     """
@@ -71,8 +71,8 @@ def initial_placement(
         best_transform: Transform | None = None
         layout.objects.append(obj)
         known.add(obj.id)
-        for attempt in range(cfg.candidate_samples):
-            ry = rng.choice(cfg.rotation_steps)
+        for attempt in range(CANDIDATE_SAMPLES):
+            ry = rng.choice(ROTATION_STEPS)
             rex, rey, rez = _rotated_extents(obj, ry)
             if rex > max_x - min_x or rez > max_z - min_z:
                 continue
@@ -86,7 +86,7 @@ def initial_placement(
             obj.transform = candidate
             if not scene.inside(obj, region):
                 continue
-            ctx = _context(cs, layout, cfg)
+            ctx = cs.context(layout)
             violations = sum(1 for c in relevant if not evaluate(c, ctx))
             if best is None or violations < best[0]:
                 best = (violations, attempt)

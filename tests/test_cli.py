@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sthl.cli import run
 from sthl.dsl.parser import MAX_NESTING
@@ -112,6 +113,158 @@ def test_export_from_solve_output(tmp_path, capsys):
     assert run(["export", str(out), "--out", str(pkg_dir)]) == 0
     assert (pkg_dir / "scene.json").exists()
     assert (pkg_dir / "metadata.sthl").exists()
+
+
+def test_solve_output_config_holds_the_three_solver_values(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    assert run(["solve", LIVINGROOM, "--seed", "7", "--k", "2", "--T", "4", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config == {"batch_size": 2, "max_iterations": 4, "rng_seed": 7}
+
+
+@pytest.mark.parametrize("path", [LIVINGROOM, CONTRADICTION], ids=lambda p: Path(p).stem)
+def test_export_of_a_solve_output_equals_the_pipeline_package(tmp_path, capsys, path):
+    out = tmp_path / "solve.json"
+    assert run(["solve", path, "--seed", "7", "--out", str(out)]) == 0
+    assert run(["export", str(out), "--out", str(tmp_path / "exported")]) == 0
+    assert run(["pipeline", path, "--seed", "7", "--out", str(tmp_path / "piped")]) == 0
+    for name in ("scene.json", "manifest.tsv", "metadata.sthl", "report.txt"):
+        exported = (tmp_path / "exported" / name).read_bytes()
+        assert exported == (tmp_path / "piped" / name).read_bytes(), name
+
+
+# The `config` of a solve output written when SolverConfig had nine fields.
+FORMER_CONFIG = {
+    "batch_size": 3,
+    "max_iterations": 5,
+    "rng_seed": 7,
+    "moves_per_proposal": 8,
+    "candidate_samples": 64,
+    "translation_step": 0.1,
+    "rotation_steps": [0.0, 90.0, 180.0, 270.0],
+    "relaxation_sweeps": 32,
+    "support_tolerance": 0.005,
+}
+
+
+def test_export_reads_a_solve_output_with_the_former_config_keys(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    assert run(["solve", BEDROOM, "--seed", "7", "--out", str(out)]) == 0
+    former = tmp_path / "former.json"
+    doc = json.loads(out.read_text())
+    doc["config"] = FORMER_CONFIG
+    former.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert run(["export", str(out), "--out", str(tmp_path / "new")]) == 0
+    assert run(["export", str(former), "--out", str(tmp_path / "old")]) == 0
+    for name in ("scene.json", "manifest.tsv", "metadata.sthl", "report.txt"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+
+DELETE = object()
+
+# Text of the file, or (path, value) set into a real solve output of
+# bedroom.sthl (DELETE removes the key); then the message after the file name.
+BAD_SOLVE_OUTPUTS = {
+    "not-json": ("not json", ":1: invalid JSON: Expecting value"),
+    "empty-object": ("{}", ": solve output lacks key 'program'"),
+    "list": ("[]", ": malformed solve output: list indices must be integers or slices, not str"),
+    "k-zero": ((("config", "batch_size"), 0), ": malformed solve output: batch size k must be >= 1"),
+    "T-negative": (
+        (("config", "max_iterations"), -1),
+        ": malformed solve output: max iterations T must be >= 0",
+    ),
+    "k-text": ((("config", "batch_size"), "3"), ": malformed solve output: expected int, not '3'"),
+    "seed-float": ((("config", "rng_seed"), 1.5), ": malformed solve output: expected int, not 1.5"),
+    "no-seed": ((("config", "rng_seed"), DELETE), ": solve output lacks key 'rng_seed'"),
+    "best-index": (
+        (("report", "bestIndex"), 9),
+        ": malformed solve output: bestIndex 9 names no iteration",
+    ),
+    "unknown-region": (
+        (("scene", "objects", 0, "region"), "attic"),
+        ": malformed solve output: object 'bed' names unknown region 'attic'",
+    ),
+    "list-id": (
+        (("scene", "objects", 0, "id"), ["bed"]),
+        ": malformed solve output: expected str, not ['bed']",
+    ),
+    "nan-position": (
+        (("report", "iterations", 0, "transforms", "bed", "pos", 0), float("nan")),
+        ": malformed solve output: expected a finite number, not nan",
+    ),
+    "short-vertex": (
+        (("scene", "regions", 0, "vertices", 0), [0]),
+        ": malformed solve output: expected a list of 2 numbers, not [0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SOLVE_OUTPUTS))
+def test_malformed_solve_output_is_a_format_error_naming_the_file(tmp_path, capsys, case):
+    content, message = BAD_SOLVE_OUTPUTS[case]
+    bad = tmp_path / "bad.json"
+    if isinstance(content, tuple):
+        assert run(["solve", BEDROOM, "--T", "0", "--out", str(bad)]) == 0
+        (*keys, last), value = content
+        doc = json.loads(bad.read_text())
+        node = doc
+        for key in keys:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        content = json.dumps(doc)
+    bad.write_text(content)
+    capsys.readouterr()
+    assert run(["export", str(bad), "--out", str(tmp_path / "pkg")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}{message}\n"
+    assert not (tmp_path / "pkg").exists()
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, up to three items per list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:3])
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def solve_output(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mutated") / "solve.json"
+    assert run(["solve", BEDROOM, "--T", "1", "--out", str(out)]) == 0
+    return out
+
+
+MUTATIONS = [
+    DELETE, None, True, 0, -1, 1.5, 1e308, float("nan"), float("inf"), "", "x", "bed",
+    "bedroom", [], [1, 2], [0, 0, 0], [-1, 1, 1], [float("nan"), 0, 0], [[0, 0]],
+    [[0, 0], [1, 0], [0, 1]], [[0, 0], [0, 0], [0, 0]], {}, {"a": 1},
+]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_solve_output_exports_or_is_a_domain_error(solve_output, data):
+    doc = json.loads(solve_output.read_text())
+    *keys, last = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    value = data.draw(st.sampled_from(MUTATIONS))
+    node = doc
+    for key in keys:
+        node = node[key]
+    if value is not DELETE:
+        node[last] = value
+    elif isinstance(node, dict):
+        del node[last]
+    mutated = solve_output.with_name("mutated.json")
+    mutated.write_text(json.dumps(doc))
+    assert run(["export", str(mutated), "--out", str(solve_output.with_name("pkg"))]) in (0, 1)
 
 
 def test_eval_reports_resemblance(capsys):

@@ -13,7 +13,6 @@ from sthl.constraints import (
     NoCollision,
     Supported,
     compile_constraints,
-    dedupe_syntactic,
     evaluate,
     evaluate_all,
     format_verdict_line,
@@ -316,45 +315,7 @@ def test_ratio_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# dedupe
-
-
-def test_exact_duplicate_removed():
-    cs = compiled(
-        "region room; object a; assert a.pos.x > 0; assert a.pos.x > 0;"
-    )
-    deduped = dedupe_syntactic(cs)
-    explicit = [c for c in deduped.constraints if c.provenance == "explicit"]
-    assert len(explicit) == 1
-    assert explicit[0].id == 0  # survivor keeps its id
-
-
-def test_symmetric_equality_normalized():
-    cs = compiled(
-        "region room; object a; object b;\n"
-        "assert a.pos.x = b.pos.x;\n"
-        "assert b.pos.x = a.pos.x;"
-    )
-    explicit = [c for c in dedupe_syntactic(cs).constraints if c.provenance == "explicit"]
-    assert len(explicit) == 1
-
-
-def test_commutative_conjunction_normalized():
-    cs = compiled(
-        "region room; object a;\n"
-        "assert a.pos.x > 0 && a.pos.z > 0;\n"
-        "assert a.pos.z > 0 && a.pos.x > 0;"
-    )
-    explicit = [c for c in dedupe_syntactic(cs).constraints if c.provenance == "explicit"]
-    assert len(explicit) == 1
-
-
-def test_semantic_subsumption_not_claimed():
-    cs = compiled(
-        "region room; object a; assert a.pos.x > 0; assert a.pos.x > 1;"
-    )
-    explicit = [c for c in dedupe_syntactic(cs).constraints if c.provenance == "explicit"]
-    assert len(explicit) == 2
+# Report lines
 
 
 def test_verdict_line_format():
@@ -407,6 +368,3 @@ def test_constraint_index_matches_linear_scans():
         "assert a.pos.x < c.pos.x; allowCollide(a, b);"
     )
     _index_matches_scans(cs)
-    deduped = dedupe_syntactic(cs)
-    assert len(deduped.constraints) < len(cs.constraints)
-    _index_matches_scans(deduped)

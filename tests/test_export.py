@@ -10,7 +10,7 @@ from sthl import export
 from sthl.assets import AssetDecision, AssetHandle, AssetQuery
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
-from sthl.errors import AssetMismatch, FormatError
+from sthl.errors import AssetMismatch, FormatError, IoError
 from sthl.export import (
     assemble,
     read_package,
@@ -230,6 +230,20 @@ def test_corrupt_json_reports_file_and_line(tmp_path):
     scene_path.write_text(scene_path.read_text()[:-30])
     with pytest.raises(FormatError, match="scene.json"):
         read_package(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "name", [export.SCENE_FILE, export.MANIFEST_FILE, export.METADATA_FILE, export.REPORT_FILE]
+)
+def test_package_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, name):
+    pkg, _, _ = solved_package()
+    write_package(pkg, tmp_path / "out")
+    path = tmp_path / "out" / name
+    path.write_bytes(path.read_bytes()[:5] + b"\xff" + path.read_bytes()[5:])
+    message = f"{path}: not UTF-8 text: byte 0xff at offset 5: invalid start byte"
+    with pytest.raises(IoError) as exc:
+        read_package(tmp_path / "out")
+    assert str(exc.value) == message
 
 
 def test_manifest_extra_object_rejected(tmp_path):

@@ -7,8 +7,6 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from sthl.assets import AssetCandidate, AssetEntity, formulate_query, score_retrieval
-from sthl.constraints import compile_constraints, dedupe_syntactic
-from sthl.dsl import parse, typecheck
 from sthl.dsl.printer import format_number
 from sthl.metrics import MatchScores, harmonic_mean, overall_resemblance
 from sthl.scene import SceneObject, Transform, collides
@@ -82,17 +80,3 @@ def test_f1_bounds(tp, fp, fn):
     assert scores.f1 <= max(scores.precision, scores.recall) + 1e-12
     overall = overall_resemblance(scores, scores)
     assert overall.f1 == scores.f1 or math.isclose(overall.f1, scores.f1)
-
-
-@given(st.integers(1, 6), st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_dedupe_is_idempotent(n_objects, n_dupes):
-    names = [f"o{i}" for i in range(n_objects)]
-    lines = ["region room;"] + [f"object {n};" for n in names]
-    lines += [f"assert {names[0]}.pos.x > 0;"] * (n_dupes + 1)
-    cs = compile_constraints(typecheck(parse("\n".join(lines))))
-    once = dedupe_syntactic(cs)
-    twice = dedupe_syntactic(once)
-    assert [c.id for c in once.constraints] == [c.id for c in twice.constraints]
-    explicit = [c for c in once.constraints if c.provenance == "explicit"]
-    assert len(explicit) == 1

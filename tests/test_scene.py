@@ -282,7 +282,7 @@ def test_resting_on_floor():
 
 def test_floating_cube_unsupported():
     obj = cube(pos=(0.0, 1.0, 0.0))
-    assert not supported(obj, floor_layout(obj), tolerance=0.01)
+    assert not supported(obj, floor_layout(obj))
 
 
 def test_book_on_table():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from sthl.build import build_scene
 from sthl.constraints import compile_constraints, evaluate, evaluate_all
 from sthl.dsl import parse, typecheck
 from sthl.errors import PlacementError
@@ -21,6 +24,7 @@ from sthl.solver import (
 
 from scenegen import generate_fixture
 
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 ROOM = Region("room", ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)))
 
 
@@ -97,7 +101,7 @@ def test_largest_footprint_placed_first_keeps_declaration_order():
 def test_floating_cube_lands_on_floor():
     cs = compiled("region room; object a;")
     layout = SceneLayout(regions=[ROOM], objects=[obj("a", pos=(5.0, 3.0, 5.0))])
-    relaxed = physics_relaxation(layout, cs, SolverConfig())
+    relaxed = physics_relaxation(layout, cs)
     assert relaxed.object("a").transform.pos[1] == pytest.approx(0.5)
 
 
@@ -107,7 +111,7 @@ def test_overlapping_cubes_get_separated():
         regions=[ROOM],
         objects=[obj("a", pos=(5.0, 0.5, 5.0)), obj("b", pos=(5.3, 0.5, 5.0))],
     )
-    relaxed = physics_relaxation(layout, cs, SolverConfig())
+    relaxed = physics_relaxation(layout, cs)
     assert not collides(relaxed.object("a"), relaxed.object("b"))
 
 
@@ -117,7 +121,7 @@ def test_allowed_collision_pairs_left_alone():
         regions=[ROOM],
         objects=[obj("a", pos=(5.0, 0.5, 5.0)), obj("b", pos=(5.3, 0.5, 5.0))],
     )
-    relaxed = physics_relaxation(layout, cs, SolverConfig())
+    relaxed = physics_relaxation(layout, cs)
     assert relaxed.object("a").transform.pos == (5.0, 0.5, 5.0)
     assert relaxed.object("b").transform.pos == (5.3, 0.5, 5.0)
 
@@ -127,7 +131,7 @@ def test_book_drops_onto_table_not_through():
     table = obj("table", extents=(1.2, 0.75, 0.8), pos=(5.0, 0.375, 5.0))
     book = obj("book", extents=(0.3, 0.05, 0.2), pos=(5.0, 2.5, 5.0))
     layout = SceneLayout(regions=[ROOM], objects=[table, book])
-    relaxed = physics_relaxation(layout, cs, SolverConfig())
+    relaxed = physics_relaxation(layout, cs)
     dropped = relaxed.object("book")
     assert dropped.transform.pos[1] == pytest.approx(0.75 + 0.025)
     assert supported(dropped, relaxed)
@@ -136,7 +140,7 @@ def test_book_drops_onto_table_not_through():
 def test_buried_object_lifted_to_floor():
     cs = compiled("region room; object a;")
     layout = SceneLayout(regions=[ROOM], objects=[obj("a", pos=(5.0, -2.0, 5.0))])
-    relaxed = physics_relaxation(layout, cs, SolverConfig())
+    relaxed = physics_relaxation(layout, cs)
     assert relaxed.object("a").transform.pos[1] == pytest.approx(0.5)
 
 
@@ -391,8 +395,6 @@ def test_custom_batch_solver_slot():
 def test_constraint_through_a_variable_gets_repaired(seed):
     source = "region room; object a; Number w; w <- a.pos.x; assert w > 3;"
     typed = typecheck(parse(source))
-    from sthl.build import build_scene
-
     built = build_scene(typed, seed=seed)
     cs = compile_constraints(typed, seed=seed)
     cfg = SolverConfig(rng_seed=seed, max_iterations=5)
@@ -402,13 +404,15 @@ def test_constraint_through_a_variable_gets_repaired(seed):
 
 
 def test_report_verdicts_use_the_solver_support_tolerance():
-    # The cube's bottom floats 2 cm above the floor: supported under a
-    # 5 cm tolerance, unsupported under the default 5 mm one.
-    cs = compiled("region room; object cube; cube.pos <- vec3(5, 0.52, 5);")
-    cube = obj("cube", pos=(5.0, 0.52, 5.0), preplaced=True)
-    cfg = SolverConfig(max_iterations=0, support_tolerance=0.05)
-    report = solve([cube], [ROOM], cs, cfg)
-    assert report.best_ratio == 1.0
+    # The report's verdicts and the solver's ratio come from one evaluation
+    # context; a contradiction keeps one constraint violated.
+    source = (FIXTURES / "contradiction.sthl").read_text(encoding="utf-8")
+    typed = typecheck(parse(source))
+    built = build_scene(typed, seed=42)
+    cs = compile_constraints(typed, seed=42)
+    cfg = SolverConfig(rng_seed=42)
+    report = solve(built.objects, built.regions, cs, cfg)
+    assert 0.0 < report.best_ratio < 1.0
     verdicts = [
         line.split()[2] for line in render_report(report, cs, cfg).split("# constraints\n")[1].splitlines()
     ]
