@@ -2,7 +2,8 @@
 
 Nodes are frozen dataclasses; source spans are excluded from equality so
 that a program compares structurally equal to its re-parsed canonical
-print. Rotation triples are written and stored in application order
+print. A span is a (line, column) named tuple, cheap to build once per
+node. Rotation triples are written and stored in application order
 (x, z, y) throughout the toolchain.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class ValueType(enum.Enum):
@@ -38,8 +39,9 @@ COMPONENTS = ("x", "y", "z")
 BUILTIN_NAMES = frozenset({"rand", "vec3", "rot", "dot", "inside"})
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A node's source position; the parser builds it with `tuple.__new__`."""
+
     line: int = 0
     column: int = 0
 

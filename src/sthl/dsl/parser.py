@@ -1,9 +1,19 @@
-"""Recursive-descent parser with declaration resolution.
+"""Recursive-descent parser over the lexer's token table, with declaration
+resolution.
+
+The parser reads `TokenTable.kinds` and `TokenTable.texts` by index: its
+cursor is one integer, `pos`, and a production looks at `kinds[pos]` (and
+at most one kind past it) to choose its way. No `Token` object is built.
+Per-node work is the node itself and its span: `span` bisects the token's
+line and column from its start offset and the table's line starts only
+then. An error gets its position the same way and reads a token's value
+through `TokenTable.value`. String literals are unquoted when their
+`StringLit` is built.
 
 The concrete grammar is LL apart from one spot: after `(` in assertion
 position the input may be either a parenthesized assertion or a
 parenthesized arithmetic expression opening a comparison. The parser
-snapshots the token index, attempts the assertion reading, and backtracks
+saves the token index, attempts the assertion reading, and backtracks
 to the expression reading if that fails.
 
 Identifier resolution happens during the parse: every referenced name must
@@ -15,7 +25,9 @@ one level deeper is a ParseError at the token that opens it.
 
 from __future__ import annotations
 
-from sthl.dsl.lexer import Token, tokenize
+from bisect import bisect_right
+
+from sthl.dsl.lexer import TokenTable, scan, string_value
 from sthl.dsl.nodes import (
     BUILTIN_NAMES,
     COMPONENTS,
@@ -56,127 +68,134 @@ from sthl.errors import ParseError, ResolveError
 MAX_NESTING = 100
 
 _COMPARE_KINDS = {"EQ": "=", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
+_PROPERTIES = OBJECT_PROPERTIES + TRANSFORM_PROPERTIES
+_CALLS = {"rand": (Rand, 2), "vec3": (Vec3, 3), "rot": (Rot, 3), "dot": (Dot, 2)}
+_new = tuple.__new__
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        # One EOF sentinel past the lexer's EOF keeps `peek(1)` in range.
-        self.tokens = tokens + tokens[-1:]
+    def __init__(self, table: TokenTable, filename: str):
+        self.table = table
+        # One EOF sentinel past the lexer's EOF keeps a look one kind ahead
+        # in range.
+        self.kinds = table.kinds + ["EOF"]
+        self.texts = table.texts
+        self.starts = table.starts
+        self.line_starts = table.line_starts
         self.filename = filename
-        self.index = 0
+        self.pos = 0
         self.depth = 0
         # name -> ('object' | 'region' | 'var', ValueType | None)
         self.symbols: dict[str, tuple[str, ValueType | None]] = {}
         self.notes: list[str] = []
 
     # ------------------------------------------------------------------
-    # Token helpers
+    # Cursor helpers. A token is named by its index in the table; `pos`
+    # never passes the lexer's EOF: `advance` stays on it, and no caller
+    # expects EOF.
 
-    # `index` never passes the lexer's EOF: `advance` stays on it, and no
-    # caller expects EOF.
+    def advance(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            self.pos = i + 1
+        return i
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.index + offset]
+    def expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            value = self.table.value(i)
+            found = repr(value) if value else "end of input"
+            raise self.parse_error(f"expected {what}, found {found}", i)
+        self.pos = i + 1
+        return i
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.index].kind == kind
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "EOF":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != kind:
-            raise self.parse_error(f"expected {what}, found {tok.value!r}" if tok.value else f"expected {what}, found end of input", tok)
-        self.index += 1
-        return tok
-
-    def nest(self, opener: Token) -> None:
+    def nest(self, opener: int) -> None:
         """Enter one nesting level; the caller leaves it with `depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.parse_error(f"nesting deeper than {MAX_NESTING} levels", opener)
 
-    def parse_error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column, self.filename)
+    def parse_error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *self.span(i), self.filename)
 
-    def resolve_error(self, message: str, tok: Token) -> ResolveError:
-        return ResolveError(message, tok.line, tok.column, self.filename)
+    def resolve_error(self, message: str, i: int) -> ResolveError:
+        return ResolveError(message, *self.span(i), self.filename)
 
-    def span(self, tok: Token) -> Span:
-        return Span(tok.line, tok.column)
+    def span(self, i: int) -> Span:
+        # `TokenTable.position`, inlined: it runs once per node.
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        return _new(Span, (line, start - self.line_starts[line - 1] + 1))
 
     # ------------------------------------------------------------------
     # Symbol table
 
-    def declare(self, name_tok: Token, kind: str, var_type: ValueType | None = None) -> None:
-        name = name_tok.value
+    def declare(self, name_i: int, kind: str, var_type: ValueType | None = None) -> None:
+        name = self.texts[name_i]
         if name in BUILTIN_NAMES:
-            raise self.resolve_error(f"{name!r} is a built-in and cannot be declared", name_tok)
+            raise self.resolve_error(f"{name!r} is a built-in and cannot be declared", name_i)
         if name in self.symbols:
-            raise self.resolve_error(f"duplicate declaration of {name!r}", name_tok)
+            raise self.resolve_error(f"duplicate declaration of {name!r}", name_i)
         self.symbols[name] = (kind, var_type)
 
-    def lookup(self, name_tok: Token) -> tuple[str, ValueType | None]:
-        name = name_tok.value
-        if name not in self.symbols:
-            raise self.resolve_error(f"undeclared identifier {name!r}", name_tok)
-        return self.symbols[name]
+    def lookup(self, name_i: int) -> tuple[str, ValueType | None]:
+        entry = self.symbols.get(self.texts[name_i])
+        if entry is None:
+            raise self.resolve_error(f"undeclared identifier {self.texts[name_i]!r}", name_i)
+        return entry
 
-    def expect_kind(self, name_tok: Token, kinds: tuple[str, ...], what: str) -> None:
-        kind, _ = self.lookup(name_tok)
+    def expect_kind(self, name_i: int, kinds: tuple[str, ...], what: str) -> None:
+        kind, _ = self.lookup(name_i)
         if kind not in kinds:
-            raise self.resolve_error(f"{name_tok.value!r} is a {kind}, expected {what}", name_tok)
+            raise self.resolve_error(f"{self.texts[name_i]!r} is a {kind}, expected {what}", name_i)
 
     # ------------------------------------------------------------------
     # Grammar
 
     def program(self) -> Program:
-        if self.at("EOF"):
-            raise self.parse_error("a program is one or more statements")
+        kinds = self.kinds
+        if kinds[self.pos] == "EOF":
+            raise self.parse_error("a program is one or more statements", self.pos)
         statements: list[Statement] = []
-        while not self.at("EOF"):
+        while kinds[self.pos] != "EOF":
             statements.append(self.statement())
         return Program(tuple(statements), notes=tuple(self.notes))
 
     def statement(self) -> Statement:
-        tok = self.peek()
-        if tok.kind in ("OBJECT", "ENTITY", "REGION"):
-            return self.declaration()
-        if tok.kind == "TYPE":
-            return self.var_declaration()
-        if tok.kind == "ASSERT":
-            return self.assert_stmt()
-        if tok.kind == "ALLOWCOLLIDE":
-            return self.allow_collide()
-        if tok.kind == "ALLOWOUTSIDE":
-            return self.allow_outside()
-        if tok.kind == "IDENT":
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "IDENT":
             return self.assignment()
-        raise self.parse_error(f"expected a statement, found {tok.value!r}", tok)
+        if kind == "ASSERT":
+            return self.assert_stmt()
+        if kind in ("OBJECT", "ENTITY", "REGION"):
+            return self.declaration()
+        if kind == "TYPE":
+            return self.var_declaration()
+        if kind == "ALLOWCOLLIDE":
+            return self.allow_collide()
+        if kind == "ALLOWOUTSIDE":
+            return self.allow_outside()
+        raise self.parse_error(f"expected a statement, found {self.table.value(i)!r}", i)
 
     def declaration(self) -> Declare:
         kw = self.advance()
-        if kw.kind == "ENTITY":
-            self.notes.append(
-                f"{self.filename}:{kw.line}:{kw.column}: 'entity' normalized to 'object'"
-            )
-        kind = "region" if kw.kind == "REGION" else "object"
+        if self.kinds[kw] == "ENTITY":
+            line, column = self.span(kw)
+            self.notes.append(f"{self.filename}:{line}:{column}: 'entity' normalized to 'object'")
+        kind = "region" if self.kinds[kw] == "REGION" else "object"
         name = self.expect("IDENT", "an identifier")
         self.declare(name, kind)
         self.expect("SEMI", "';'")
-        return Declare(kind, name.value, span=self.span(kw))
+        return Declare(kind, self.texts[name], span=self.span(kw))
 
     def var_declaration(self) -> Declare:
-        type_tok = self.advance()
+        type_i = self.advance()
+        var_type = ValueType(self.texts[type_i])
         name = self.expect("IDENT", "an identifier")
-        self.declare(name, "var", ValueType(type_tok.value))
+        self.declare(name, "var", var_type)
         self.expect("SEMI", "';'")
-        return Declare("var", name.value, ValueType(type_tok.value), span=self.span(type_tok))
+        return Declare("var", self.texts[name], var_type, span=self.span(type_i))
 
     def assert_stmt(self) -> Assert:
         kw = self.advance()
@@ -192,11 +211,11 @@ class _Parser:
         self.expect("COMMA", "','")
         second = self.expect("IDENT", "an object identifier")
         self.expect_kind(second, ("object",), "an object")
-        if first.value == second.value:
+        if self.texts[first] == self.texts[second]:
             raise self.resolve_error("allowCollide requires two distinct objects", second)
         self.expect("RPAREN", "')'")
         self.expect("SEMI", "';'")
-        return AllowCollide(first.value, second.value, span=self.span(kw))
+        return AllowCollide(self.texts[first], self.texts[second], span=self.span(kw))
 
     def allow_outside(self) -> AllowOutside:
         kw = self.advance()
@@ -205,45 +224,48 @@ class _Parser:
         self.expect_kind(name, ("object",), "an object")
         self.expect("RPAREN", "')'")
         self.expect("SEMI", "';'")
-        return AllowOutside(name.value, span=self.span(kw))
+        return AllowOutside(self.texts[name], span=self.span(kw))
 
     def assignment(self) -> Assign:
         target = self.advance()
         self.lookup(target)
         prop: str | None = None
-        if self.at("DOT"):
-            self.advance()
-            prop_tok = self.expect("IDENT", "a property name")
-            if prop_tok.value not in OBJECT_PROPERTIES + TRANSFORM_PROPERTIES:
-                raise self.parse_error(f"unknown property {prop_tok.value!r}", prop_tok)
-            prop = prop_tok.value
+        if self.kinds[self.pos] == "DOT":
+            self.pos += 1
+            prop_i = self.expect("IDENT", "a property name")
+            prop = self.texts[prop_i]
+            if prop not in _PROPERTIES:
+                raise self.parse_error(f"unknown property {prop!r}", prop_i)
         self.expect("ARROW", "'<-'")
         value = self.expression()
         self.expect("SEMI", "';'")
-        return Assign(target.value, prop, value, span=self.span(target))
+        return Assign(self.texts[target], prop, value, span=self.span(target))
 
     # ------------------------------------------------------------------
     # Assertions (precedence: || < && < ! < comparisons)
 
     def assertion(self) -> Assertion:
         left = self.and_assertion()
-        while self.at("OR"):
-            op = self.advance()
+        while self.kinds[self.pos] == "OR":
+            op = self.pos
+            self.pos = op + 1
             right = self.and_assertion()
             left = Or(left, right, span=self.span(op))
         return left
 
     def and_assertion(self) -> Assertion:
         left = self.not_assertion()
-        while self.at("AND"):
-            op = self.advance()
+        while self.kinds[self.pos] == "AND":
+            op = self.pos
+            self.pos = op + 1
             right = self.not_assertion()
             left = And(left, right, span=self.span(op))
         return left
 
     def not_assertion(self) -> Assertion:
-        if self.at("NOT"):
-            op = self.advance()
+        op = self.pos
+        if self.kinds[op] == "NOT":
+            self.pos = op + 1
             self.nest(op)
             operand = self.not_assertion()
             self.depth -= 1
@@ -251,22 +273,23 @@ class _Parser:
         return self.primary_assertion()
 
     def primary_assertion(self) -> Assertion:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "inside" and self.peek(1).kind == "LPAREN":
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "IDENT" and self.texts[i] == "inside" and self.kinds[i + 1] == "LPAREN":
             return self.inside_pred()
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             # Either a grouped assertion or an expression opening a
             # comparison; try the assertion reading first.
-            snapshot = self.index, self.depth
+            depth = self.depth
             try:
-                self.advance()
-                self.nest(tok)
+                self.pos = i + 1
+                self.nest(i)
                 inner = self.assertion()
                 self.expect("RPAREN", "')'")
                 self.depth -= 1
                 return inner
             except ParseError:
-                self.index, self.depth = snapshot
+                self.pos, self.depth = i, depth
         return self.comparison()
 
     def inside_pred(self) -> InsidePred:
@@ -278,111 +301,110 @@ class _Parser:
         outer = self.expect("IDENT", "a region identifier")
         self.expect_kind(outer, ("region",), "a region")
         self.expect("RPAREN", "')'")
-        return InsidePred(inner.value, outer.value, span=self.span(kw))
+        return InsidePred(self.texts[inner], self.texts[outer], span=self.span(kw))
 
     def comparison(self) -> Compare:
         left = self.expression()
-        tok = self.peek()
-        if tok.kind not in _COMPARE_KINDS:
+        i = self.pos
+        op = _COMPARE_KINDS.get(self.kinds[i])
+        if op is None:
             raise self.parse_error(
-                f"expected a comparison operator, found {tok.value!r}", tok
+                f"expected a comparison operator, found {self.table.value(i)!r}", i
             )
-        self.advance()
+        self.pos = i + 1
         right = self.expression()
-        return Compare(_COMPARE_KINDS[tok.kind], left, right, span=self.span(tok))
+        return Compare(op, left, right, span=self.span(i))
 
     # ------------------------------------------------------------------
     # Expressions (precedence: +,- < *,/)
 
     def expression(self) -> Expr:
         left = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] in ("PLUS", "MINUS"):
+            op = self.pos
+            self.pos = op + 1
             right = self.term()
-            left = Arith(op.value, left, right, span=self.span(op))
+            left = Arith(self.texts[op], left, right, span=self.span(op))
         return left
 
     def term(self) -> Expr:
         left = self.factor()
-        while self.peek().kind in ("STAR", "SLASH"):
-            op = self.advance()
+        kinds = self.kinds
+        while kinds[self.pos] in ("STAR", "SLASH"):
+            op = self.pos
+            self.pos = op + 1
             right = self.factor()
-            left = Arith(op.value, left, right, span=self.span(op))
+            left = Arith(self.texts[op], left, right, span=self.span(op))
         return left
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return NumberLit(float(tok.value), span=self.span(tok))
-        if tok.kind == "STRING":
-            self.advance()
-            return StringLit(tok.value, span=self.span(tok))
-        if tok.kind == "LPAREN":
-            self.advance()
-            self.nest(tok)
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "IDENT":
+            if self.texts[i] in _CALLS and self.kinds[i + 1] == "LPAREN":
+                return self.builtin_call()
+            return self.name_or_propref()
+        if kind == "NUMBER":
+            self.pos = i + 1
+            return NumberLit(float(self.texts[i]), span=self.span(i))
+        if kind == "STRING":
+            self.pos = i + 1
+            return StringLit(string_value(self.texts[i]), span=self.span(i))
+        if kind == "LPAREN":
+            self.pos = i + 1
+            self.nest(i)
             inner = self.expression()
             self.expect("RPAREN", "')'")
             self.depth -= 1
             return inner
-        if tok.kind == "IDENT":
-            if tok.value in ("rand", "vec3", "rot", "dot") and self.peek(1).kind == "LPAREN":
-                return self.builtin_call()
-            return self.name_or_propref()
-        raise self.parse_error(f"expected an expression, found {tok.value!r}", tok)
+        raise self.parse_error(f"expected an expression, found {self.table.value(i)!r}", i)
 
     def builtin_call(self) -> Expr:
-        name = self.advance()
+        name = self.pos
+        self.pos = name + 1
         self.nest(self.expect("LPAREN", "'('"))
         args = [self.expression()]
-        while self.at("COMMA"):
-            self.advance()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             args.append(self.expression())
         self.expect("RPAREN", "')'")
         self.depth -= 1
-        arity = {"rand": 2, "vec3": 3, "rot": 3, "dot": 2}[name.value]
+        node, arity = _CALLS[self.texts[name]]
         if len(args) != arity:
             raise self.parse_error(
-                f"{name.value} takes {arity} arguments, found {len(args)}", name
+                f"{self.texts[name]} takes {arity} arguments, found {len(args)}", name
             )
-        span = self.span(name)
-        if name.value == "rand":
-            return Rand(args[0], args[1], span=span)
-        if name.value == "vec3":
-            return Vec3(args[0], args[1], args[2], span=span)
-        if name.value == "rot":
-            return Rot(args[0], args[1], args[2], span=span)
-        return Dot(args[0], args[1], span=span)
+        return node(*args, span=self.span(name))
 
     def name_or_propref(self) -> Expr:
-        name = self.advance()
-        kind, _ = self.lookup(name)
-        if not self.at("DOT"):
+        i = self.pos
+        self.pos = i + 1
+        name = self.texts[i]
+        kind, _ = self.lookup(i)
+        if self.kinds[self.pos] != "DOT":
             if kind != "var":
                 raise self.resolve_error(
-                    f"{name.value!r} is a {kind} and has no value; access a property instead",
-                    name,
+                    f"{name!r} is a {kind} and has no value; access a property instead", i
                 )
-            return Name(name.value, span=self.span(name))
+            return Name(name, span=self.span(i))
         if kind == "var":
-            raise self.resolve_error(
-                f"{name.value!r} is a variable and has no properties", name
-            )
-        self.advance()
-        prop_tok = self.expect("IDENT", "a property name")
-        prop = prop_tok.value
-        if prop not in OBJECT_PROPERTIES + TRANSFORM_PROPERTIES:
-            raise self.parse_error(f"unknown property {prop!r}", prop_tok)
+            raise self.resolve_error(f"{name!r} is a variable and has no properties", i)
+        self.pos += 1
+        prop_i = self.expect("IDENT", "a property name")
+        prop = self.texts[prop_i]
+        if prop not in _PROPERTIES:
+            raise self.parse_error(f"unknown property {prop!r}", prop_i)
         component: str | None = None
-        if self.at("DOT") and prop in TRANSFORM_PROPERTIES:
-            self.advance()
-            comp_tok = self.expect("IDENT", "a component (x, y or z)")
-            if comp_tok.value not in COMPONENTS:
+        if self.kinds[self.pos] == "DOT" and prop in TRANSFORM_PROPERTIES:
+            self.pos += 1
+            comp_i = self.expect("IDENT", "a component (x, y or z)")
+            component = self.texts[comp_i]
+            if component not in COMPONENTS:
                 raise self.parse_error(
-                    f"unknown component {comp_tok.value!r} (expected x, y or z)", comp_tok
+                    f"unknown component {component!r} (expected x, y or z)", comp_i
                 )
-            component = comp_tok.value
-        return PropRef(name.value, prop, component, span=self.span(name))
+        return PropRef(name, prop, component, span=self.span(i))
 
 
 def parse(source: str, filename: str = "<sthl>") -> Program:
@@ -391,5 +413,4 @@ def parse(source: str, filename: str = "<sthl>") -> Program:
     Raises LexError, ParseError or ResolveError, each carrying the
     offending line and column.
     """
-    tokens = tokenize(source, filename)
-    return _Parser(tokens, filename).program()
+    return _Parser(scan(source, filename), filename).program()

@@ -76,9 +76,13 @@ def print_expr(node: Expr, parent_prec: int = 0, right_side: bool = False) -> st
         return f"dot({print_expr(node.left)}, {print_expr(node.right)})"
     assert isinstance(node, Arith)
     prec = _EXPR_PREC[node.op]
-    left = print_expr(node.left, prec, right_side=False)
-    right = print_expr(node.right, prec, right_side=True)
-    text = f"{left} {node.op} {right}"
+    # A left operand at the same precedence prints bare, so the left-deep
+    # chain `a + b - c + ...` is walked in a loop, not one call per term.
+    rights: list[str] = []
+    while isinstance(node, Arith) and _EXPR_PREC[node.op] == prec:
+        rights.append(f" {node.op} {print_expr(node.right, prec, right_side=True)}")
+        node = node.left
+    text = print_expr(node, prec, right_side=False) + "".join(reversed(rights))
     # Parenthesize when looser than the context, or equal precedence on the
     # right of a left-associative operator (preserves tree shape).
     if prec < parent_prec or (prec == parent_prec and right_side):
@@ -94,10 +98,14 @@ def print_assertion(node: Assertion, parent_prec: int = 0, right_side: bool = Fa
     if isinstance(node, Not):
         inner = print_assertion(node.operand, 3)
         return f"!{inner}"
-    op, prec = ("||", 1) if isinstance(node, Or) else ("&&", 2)
-    left = print_assertion(node.left, prec, right_side=False)
-    right = print_assertion(node.right, prec, right_side=True)
-    text = f"{left} {op} {right}"
+    kind = type(node)
+    op, prec = ("||", 1) if kind is Or else ("&&", 2)
+    # As in `print_expr`: the left-deep chain of one operator in a loop.
+    rights: list[str] = []
+    while type(node) is kind:
+        rights.append(f" {op} {print_assertion(node.right, prec, right_side=True)}")
+        node = node.left
+    text = print_assertion(node, prec, right_side=False) + "".join(reversed(rights))
     if prec < parent_prec or (prec == parent_prec and right_side):
         return f"({text})"
     return text

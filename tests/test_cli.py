@@ -44,6 +44,30 @@ def test_fmt_prints_canonical_text(capsys):
     assert out.splitlines()[0] == "region room;"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "Number w;\nw <- " + " + ".join(["a.pos.x"] * 5000) + ";\n",
+        "assert " + " && ".join(f"a.pos.x > {i}" for i in range(5000)) + ";\n",
+        "assert " + " || ".join(["a.pos.y - 1 - 2 < 3"] * 2500) + ";\n",
+    ],
+    ids=["sum", "and", "or"],
+)
+def test_fmt_and_json_ast_handle_long_flat_chains(tmp_path, capsys, body):
+    # A 5,000-term left-deep chain parses in a loop and prints in a loop;
+    # nesting it 5,000 deep would exceed the interpreter's recursion limit.
+    path = tmp_path / "chain.sthl"
+    path.write_text("object a;\n" + body)
+    assert run(["fmt", str(path)]) == 0
+    printed = capsys.readouterr().out
+    path.write_text(printed)
+    assert run(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out == printed
+    assert run(["parse", str(path), "--json-ast"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[-1]["stmt"] in ("assign", "assert")
+
+
 def test_check_reports_counts(capsys):
     assert run(["check", BEDROOM]) == 0
     err = capsys.readouterr().err
