@@ -5,7 +5,8 @@ declarations: a region is a rectangular room centered at (pos.x, pos.z)
 with floor height pos.y, footprint scale.x by scale.z, ceiling height
 scale.y, and optional yaw from rot (x and z rotations must be zero).
 Regions without geometry assignments default to a 10x3x10 room at the
-origin. A region rotation about x or z, an object scale component that
+origin. A `pos`, `scale` or `rot` component that is not finite (`1 / 0`,
+`0 / 0`), a region rotation about x or z, an object scale component that
 is not positive, or a value that reads another object's placement is a
 `BuildError` at the assignment that states it.
 
@@ -101,6 +102,11 @@ def build_scene(
         message = f"{target}.{prop} {requirement}, got ({got})"
         return BuildError(message, span.line, span.column, filename)
 
+    for name, props in (*object_props.items(), *region_props.items()):
+        for prop in ("pos", "scale", "rot"):
+            value = props.get(prop)
+            if value is not None and not all(map(math.isfinite, value)):  # type: ignore[call-overload]
+                raise error(name, prop, "components must be finite", value)
     for name, props in object_props.items():
         scale = props.get("scale", (1.0, 1.0, 1.0))
         if any(s <= 0 for s in scale):  # type: ignore[attr-defined]

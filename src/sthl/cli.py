@@ -447,6 +447,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     cs = constraints_mod.compile_constraints(typed, seed=solver_cfg.rng_seed)
     cfg = PipelineConfig(seed=solver_cfg.rng_seed, tau=args.tau, db_path=args.db)
     report.best_layout.connections = list(built.connections)
+    # The file may have been edited since `sthl solve` wrote it, so the
+    # verdict table comes from the layout it holds, not its `unsatisfied`.
+    report.verdicts = cs.verdicts(report.best_layout)
     decisions = _asset_decisions(built, cfg)
     pkg = export_mod.assemble(
         report.best_layout, decisions, cs, report, program, solver_cfg,

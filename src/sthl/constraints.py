@@ -89,12 +89,14 @@ class ConstraintSet:
     bindings: dict[str, Expr] = field(default_factory=dict)
     #: object id -> region id used for the hidden boundary constraints.
     region_assignments: dict[str, str] = field(default_factory=dict)
-    # Index built once from `constraints`: id -> constraint, and each
-    # involved name -> the constraints naming it, in set order.
+    # Index built once from `constraints`: id -> constraint, each involved
+    # name -> the constraints naming it, and the `Supported` constraints,
+    # in set order.
     _by_id: dict[int, CompiledConstraint] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, tuple[CompiledConstraint, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _supported: tuple[CompiledConstraint, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name: dict[str, list[CompiledConstraint]] = {}
@@ -103,6 +105,7 @@ class ConstraintSet:
                 by_name.setdefault(name, []).append(c)
         self._by_id = {c.id: c for c in self.constraints}
         self._by_name = {name: tuple(cs) for name, cs in by_name.items()}
+        self._supported = tuple(c for c in self.constraints if isinstance(c.assertion, Supported))
 
     def context(self, layout: scene.SceneLayout, rng_seed: int = 0) -> "EvalContext":
         """The one way to get a context for evaluating this set on `layout`.
@@ -115,6 +118,20 @@ class ConstraintSet:
     def touching(self, name: str) -> tuple[CompiledConstraint, ...]:
         """The constraints whose `involved` names `name`, in set order."""
         return self._by_name.get(name, ())
+
+    def affected_by(self, name: str) -> tuple[CompiledConstraint, ...]:
+        """The constraints whose verdict can change when object `name` moves:
+        those naming it, then every other `Supported` constraint, since
+        support reads every object of the layout. Any other verdict is
+        unchanged by the move."""
+        return self.touching(name) + tuple(
+            c for c in self._supported if name not in c.involved
+        )
+
+    def verdicts(self, layout: scene.SceneLayout) -> dict[int, bool]:
+        """One full evaluation pass: every constraint's verdict on `layout`, by id."""
+        ctx = self.context(layout)
+        return {c.id: evaluate(c, ctx) for c in self.constraints}
 
 
 @dataclass

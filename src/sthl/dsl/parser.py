@@ -26,6 +26,7 @@ one level deeper is a ParseError at the token that opens it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import isinf
 
 from sthl.dsl.lexer import TokenTable, scan, string_value
 from sthl.dsl.nodes import (
@@ -347,7 +348,10 @@ class _Parser:
             return self.name_or_propref()
         if kind == "NUMBER":
             self.pos = i + 1
-            return NumberLit(float(self.texts[i]), span=self.span(i))
+            value = float(self.texts[i])
+            if isinf(value):
+                raise self.parse_error("number literal out of range (beyond about 1.8e308)", i)
+            return NumberLit(value, span=self.span(i))
         if kind == "STRING":
             self.pos = i + 1
             return StringLit(string_value(self.texts[i]), span=self.span(i))

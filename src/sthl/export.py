@@ -35,7 +35,7 @@ from sthl.constraints import (
 from sthl.dsl import Program, parse, print_program, typecheck
 from sthl.errors import AssetMismatch, FormatError, IoError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
-from sthl.solver import SolveReport, SolverConfig, _results, render_report, solve
+from sthl.solver import SolveReport, SolverConfig, render_report, solve
 
 SCHEMA_VERSION = 1
 
@@ -171,14 +171,18 @@ def assemble(
     native extents (AssetMismatch when extents are unknown and no default
     is given). Supported objects are snapped down/up to exact contact with
     their supporting surface; a snap that would flip any previously
-    satisfied constraint is reverted and flagged.
+    satisfied constraint is reverted and flagged. When `layout` is
+    `report.best_layout`, the snap starts from `report.verdicts`, the
+    table the solver already holds (the report's table reads it too);
+    any other layout is evaluated once.
     """
     cfg = cfg or SolverConfig()
     missing = [obj.id for obj in layout.objects if obj.id not in decisions]
     if missing:
         raise ValueError(f"asset decisions missing for objects: {', '.join(missing)}")
 
-    layout, reverted = _snap_supported(layout, cs)
+    known = report.verdicts if layout is report.best_layout else None
+    layout, reverted = _snap_supported(layout, cs, known)
 
     packaged = []
     manifest = []
@@ -244,10 +248,21 @@ def _rests_on_floor(obj: SceneObject, layout: SceneLayout) -> bool:
     return abs(scene_mod.bottom_y(obj) - region.floor_y) <= scene_mod.SUPPORT_TOLERANCE
 
 
-def _snap_supported(layout: SceneLayout, cs: ConstraintSet) -> tuple[SceneLayout, tuple[str, ...]]:
+def _snap_supported(
+    layout: SceneLayout, cs: ConstraintSet, verdicts: dict[int, bool] | None = None
+) -> tuple[SceneLayout, tuple[str, ...]]:
+    """Snap each supported object, lowest first, to exact contact with its
+    support surface, on a copy of `layout`. A snap that turns a satisfied
+    constraint violated is undone, and the object is listed as reverted.
+
+    `verdicts` is every constraint's verdict on `layout` (evaluated here
+    when None). After a snap only `cs.affected_by` the moved object is
+    re-evaluated; every other verdict is copied, as the move cannot change it.
+    """
     layout = layout.copy()
     reverted: list[str] = []
-    before = _results(cs, layout)
+    before = cs.verdicts(layout) if verdicts is None else verdicts
+    ctx = cs.context(layout)
     order = sorted(layout.objects, key=lambda o: (scene_mod.bottom_y(o), o.id))
     for obj in order:
         if not scene_mod.supported(obj, layout):
@@ -259,12 +274,13 @@ def _snap_supported(layout: SceneLayout, cs: ConstraintSet) -> tuple[SceneLayout
         original = obj.transform
         x, y, z = original.pos
         obj.transform = Transform((x, y + delta, z), original.rot, original.scale)
-        after = _results(cs, layout)
-        if any(before[cid] and not after[cid] for cid in before):
+        affected = cs.affected_by(obj.id)
+        after = {c.id: evaluate(c, ctx) for c in affected}
+        if any(before[cid] and not ok for cid, ok in after.items()):
             obj.transform = original
             reverted.append(obj.id)
         else:
-            before = after
+            before = {**before, **after}
     return layout, tuple(reverted)
 
 

@@ -37,6 +37,9 @@ WALL_THICKNESS = 0.03
 
 _EPS = 1e-9
 _BOUNDARY_EPS = 1e-7
+# Bounds overlap `bounds_apart` keeps below _EPS: more than the rounding
+# of a separating-axis depth at coordinates up to about a kilometre.
+_BOUNDS_MARGIN = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +238,31 @@ def collision_margin(a: SceneObject, b: SceneObject) -> float:
     return margin
 
 
+def bounds_apart(ba: tuple[float, ...], bb: tuple[float, ...]) -> bool:
+    """True iff two boxes' axis-aligned bounds (`OrientedBox.bounds`)
+    overlap by at most _EPS - _BOUNDS_MARGIN on some world axis.
+
+    Such boxes neither collide nor need separating: their penetration
+    depth never exceeds the overlap along any one axis, so the
+    separating-axis test gives them a depth of at most _EPS. The margin
+    keeps that true when the test's rounding lifts a depth just above the
+    bounds' overlap (at an overlap of exactly _EPS, by about 1e-16).
+    """
+    limit = _EPS - _BOUNDS_MARGIN
+    return (
+        min(ba[3], bb[3]) - max(ba[0], bb[0]) <= limit
+        or min(ba[4], bb[4]) - max(ba[1], bb[1]) <= limit
+        or min(ba[5], bb[5]) - max(ba[2], bb[2]) <= limit
+    )
+
+
 def collides(a: SceneObject, b: SceneObject) -> bool:
     """True iff the boxes overlap with positive volume; face contact is not a collision.
 
-    Boxes whose axis-aligned bounds overlap by at most _EPS on some world
-    axis are rejected before the separating-axis test. The reject is exact:
-    the penetration depth never exceeds the overlap along any one axis.
+    Boxes that `bounds_apart` rejects are apart without the separating-axis
+    test; the reject is exact.
     """
-    ba, bb = world_box(a).bounds, world_box(b).bounds
-    if (
-        min(ba[3], bb[3]) - max(ba[0], bb[0]) <= _EPS
-        or min(ba[4], bb[4]) - max(ba[1], bb[1]) <= _EPS
-        or min(ba[5], bb[5]) - max(ba[2], bb[2]) <= _EPS
-    ):
+    if bounds_apart(world_box(a).bounds, world_box(b).bounds):
         return False
     return collision_margin(a, b) > _EPS
 

@@ -121,3 +121,13 @@ def test_entities_for_asset_queries():
     entity = scene.entities()[0]
     assert entity.kind == "object"
     assert (entity.color, entity.category, entity.material) == ("red", "armchair", "velvet")
+
+
+@pytest.mark.parametrize("target", ["room", "a"])
+@pytest.mark.parametrize("prop", ["pos", "scale", "rot"])
+@pytest.mark.parametrize("part", ["1 / 0", "0 - 1 / 0", "0 / 0"])
+def test_non_finite_placement_value_rejected_at_its_assignment(target, prop, part):
+    call = "rot(0, 0, {})" if prop == "rot" else "vec3(1, {}, 1)"
+    with pytest.raises(BuildError, match=f"{target}.{prop} components must be finite") as info:
+        built(f"region room;\nobject a;\n  {target}.{prop} <- {call.format(part)};")
+    assert (info.value.line, info.value.column) == (3, 3)

@@ -397,6 +397,67 @@ def test_unbuildable_values_are_located_errors(tmp_path, capsys, command, source
     assert not (tmp_path / "pkg").exists()
 
 
+NON_FINITE_VALUES = [
+    ("region r;\nr.rot <- rot(0, 0, 1 / 0);\nobject a;\n", ":2:1:", "r.rot", "(0, 0, inf)"),
+    ("region r;\nr.pos <- vec3(0, 0 - 1 / 0, 0);\nobject a;\n", ":2:1:", "r.pos", "(0, -inf, 0)"),
+    ("region r;\nr.scale <- vec3(0 / 0, 3, 4);\nobject a;\n", ":2:1:", "r.scale", "(nan, 3, 4)"),
+    ("region r;\nobject a;\na.scale <- vec3(0 / 0, 1, 1);\n", ":3:1:", "a.scale", "(nan, 1, 1)"),
+    ("region r;\nobject a;\n a.pos <- vec3(1 / 0, 0.5, 0);\n", ":3:2:", "a.pos", "(inf, 0.5, 0)"),
+    ("region r;\nobject a;\na.rot <- rot(0, 0, 1 / 0);\n", ":3:1:", "a.rot", "(0, 0, inf)"),
+]
+
+
+@pytest.mark.parametrize("source, where, prop, got", NON_FINITE_VALUES)
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_non_finite_placement_values_are_located_errors(tmp_path, capsys, command, source, where, prop, got):
+    path = tmp_path / "bad.sthl"
+    path.write_text(source)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "pkg")] if command == "pipeline" else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}{where} {prop} components must be finite, got {got}\n"
+    assert not (tmp_path / "pkg").exists()
+
+
+BIG = "1" + "0" * 320  # beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fmt"], ["parse", "--json-ast"], ["check"], ["pipeline", "--out", "PKG"], ["solve", "--out", "OUT"]],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_range_number_literal_is_a_located_error(tmp_path, capsys, argv):
+    path = tmp_path / "big.sthl"
+    path.write_text(f"region r;\nr.scale <- vec3({BIG}, 3, 4);\n", encoding="utf-8")
+    argv = [a.replace("PKG", str(tmp_path / "pkg")).replace("OUT", str(tmp_path / "s.json")) for a in argv]
+    assert run(argv[:1] + argv[1:] + [str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}:2:17: number literal out of range (beyond about 1.8e308)\n"
+    )
+    assert not (tmp_path / "pkg").exists() and not (tmp_path / "s.json").exists()
+
+
+def test_export_of_an_edited_solve_output_reports_the_edited_layout(tmp_path, capsys):
+    # Lift the lamp of the living room off the floor in the best iteration:
+    # its support constraint flips, and the exported report must show the
+    # verdict of the edited layout, not the `unsatisfied` list of the file.
+    out = tmp_path / "solve.json"
+    assert run(["solve", LIVINGROOM, "--seed", "7", "--T", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    record = next(r for r in doc["report"]["iterations"] if r["index"] == doc["report"]["bestIndex"])
+    assert run(["export", str(out), "--out", str(tmp_path / "before")]) == 0
+    supported = "hidden-gravity satisfied supported(table_lamp)"
+    assert supported in (tmp_path / "before" / "report.txt").read_text()
+
+    record["transforms"]["table_lamp"]["pos"][1] += 1.0
+    out.write_text(json.dumps(doc))
+    assert run(["export", str(out), "--out", str(tmp_path / "after")]) == 0
+    report = (tmp_path / "after" / "report.txt").read_text()
+    assert "hidden-gravity violated supported(table_lamp)" in report
+    assert supported not in report
+
+
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 PROGRAMS = sorted(CORPUS.glob("*.sthl")) + sorted(FIXTURES.glob("*.sthl"))
 

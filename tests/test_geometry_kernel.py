@@ -12,6 +12,7 @@ from sthl.scene import (
     Region,
     SceneObject,
     Transform,
+    bounds_apart,
     collides,
     collision_margin,
     distance_to_boundary,
@@ -212,3 +213,44 @@ def test_box_matches_numpy_reference_to_rounding(dimensions, scale, rot, pos):
         assert any(_close(p, q) for q in ref["plan"])
     for q in ref["plan"]:
         assert any(_close(p, q) for p in got["plan"])
+
+
+contact_gaps = st.sampled_from(
+    [0.0, _EPS - 1e-12, _EPS, _EPS + 1e-12, -(_EPS - 1e-12), -_EPS, -(_EPS + 1e-12)]
+)
+
+
+@given(
+    coords,
+    st.one_of(quarter_turns, rotations),
+    scales,
+    st.tuples(*[st.floats(-0.3, 0.3) for _ in range(3)]),
+    st.one_of(quarter_turns, rotations, any_rotation),
+    scales,
+    st.integers(0, 2),
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(contact_gaps, st.floats(-0.05, 0.05)),
+)
+@settings(max_examples=400, deadline=None)
+@example((0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 90.0),
+         (0.4, 0.3, 0.2), 0, 1.0, 0.0)
+@example((0.5, 0.5, 0.5), (0.0, 0.0, 90.0), (0.5, 0.4, 0.3), (0.1, 0.0, -0.1), (0.0, 0.0, 270.0),
+         (0.4, 0.3, 0.2), 1, -1.0, -_EPS)
+@example((0.5, 0.5, 0.5), (0.0, 0.0, 180.0), (0.5, 0.4, 0.3), (0.1, 0.2, -0.1), (0.0, 0.0, 0.0),
+         (0.4, 0.3, 0.2), 2, 1.0, _EPS + 1e-12)
+def test_bounds_reject_only_pairs_the_sat_reference_calls_apart(
+    pos_a, rot_a, scale_a, offset, rot_b, scale_b, k, sign, gap
+):
+    # b is centred near a on the other two world axes, and its bounds start
+    # `gap` beyond a's along world axis k (a negative gap overlaps them).
+    a = box_object("a", pos_a, rot_a, scale_a)
+    ba = world_box(a).bounds
+    probe = world_box(box_object("b", (0.0, 0.0, 0.0), rot_b, scale_b)).bounds
+    pos_b = [c + d for c, d in zip(world_box(a).center, offset)]
+    pos_b[k] = ba[k + 3] + gap - probe[k] if sign > 0 else ba[k] - gap - probe[k + 3]
+    b = box_object("b", tuple(pos_b), rot_b, scale_b)
+    apart = bounds_apart(world_box(a).bounds, world_box(b).bounds)
+    assert apart == bounds_apart(world_box(b).bounds, world_box(a).bounds)
+    if apart:
+        assert sat_reference(world_box(a), world_box(b))[0] <= _EPS
+        assert not collides(a, b)

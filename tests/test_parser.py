@@ -214,3 +214,13 @@ def test_nesting_limit(opener, closer, token_at):
         parse(head + opener * (MAX_NESTING + 1) + body + closer * (MAX_NESTING + 1) + ";")
     column = len(head) + MAX_NESTING * len(opener) + token_at
     assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_number_literal_beyond_the_float_range_is_located():
+    # float() reads such a literal as inf, which no printer can write back.
+    big = "1" + "0" * 320
+    with pytest.raises(ParseError, match="number literal out of range") as exc:
+        parse(f"Number w;\nw <- 2 * {big};\n", filename="big.sthl")
+    assert (exc.value.line, exc.value.column, exc.value.filename) == (2, 10, "big.sthl")
+    largest = "1" + "0" * 308  # 1e308 is still a float
+    assert parse(f"Number w;\nw <- {largest};\n").statements[1].value.value == 1e308
