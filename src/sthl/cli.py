@@ -8,6 +8,7 @@ usage error. Diagnostics go to stderr; artifacts go to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -566,27 +567,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use. It holds no
+    per-call state: `run` resolves the seed and the command itself."""
     parser = argparse.ArgumentParser(
         prog="sthl",
         description="Toolchain for ScenethesisLang scene specifications",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_kwargs = dict(type=int, default=_default_seed(), help="RNG seed (env STHL_SEED)")
+    # None means "not given": `run` reads STHL_SEED on every call.
+    seed_kwargs = dict(type=int, default=None, help="RNG seed (env STHL_SEED)")
 
     p = sub.add_parser("parse", help="parse a program and report diagnostics")
     p.add_argument("file")
     p.add_argument("--json-ast", action="store_true", help="print the AST as JSON")
-    p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("fmt", help="print the canonical form of a program")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_fmt)
 
     p = sub.add_parser("check", help="type-check and compile constraints")
     p.add_argument("file")
     p.add_argument("--seed", **seed_kwargs)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve", help="solve a program's layout")
     p.add_argument("file")
@@ -595,7 +597,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_positive_int(0, "T"), default=5, help="max iterations")
     p.add_argument("--out", default=DEFAULT_SOLVE_OUT, help="solve output file")
     p.add_argument("--report", default=None, help="also write the text report here")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("assets", help="formulate queries and decide retrieve-vs-generate")
     p.add_argument("file")
@@ -605,21 +606,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-t", type=_finite_float, default=assets_mod.DEFAULT_SEMANTIC_WEIGHT)
     p.add_argument("--seed", **seed_kwargs)
     p.add_argument("--out", default=None, help="write decisions tsv here")
-    p.set_defaults(func=_cmd_assets)
 
     p = sub.add_parser("export", help="assemble a scene package from a solve output")
     p.add_argument("solve_output")
     p.add_argument("--out", required=True, help="package directory")
     p.add_argument("--db", default=None)
     p.add_argument("--tau", type=_finite_float, default=assets_mod.DEFAULT_TAU)
-    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("eval", help="resemblance metrics between two programs")
     p.add_argument("--gen", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--tau", type=_finite_float, default=0.7)
     p.add_argument("--embeddings", default=None, help="precomputed vectors tsv")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("pipeline", help="run the full pipeline to a scene package")
     p.add_argument("file", nargs="?")
@@ -632,7 +630,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default=None)
     p.add_argument("--out", default="scene_package")
     p.add_argument("--keep-intermediates", action="store_true")
-    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 
@@ -644,8 +641,12 @@ def run(argv: list[str] | None = None) -> int:
         parser.error("pipeline requires a .sthl file")
     if getattr(args, "eta", 0.0) < 0:
         parser.error("eta must be non-negative")
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
+    # Looked up at call time, so a wrapped `_cmd_<command>` is the one run.
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SthlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -277,7 +277,7 @@ def _involved(assertion: CompiledAssertion, bindings: dict[str, Expr]) -> set[st
     return names
 
 
-def freeze_program(typed: TypedProgram, seed: int = 0) -> list[Statement]:
+def freeze_program(typed: TypedProgram, seed: int = 0) -> tuple[Statement, ...]:
     """The program's statements with every `rand` drawn, the one definition
     that the built scene and the constraints both read.
 
@@ -286,11 +286,22 @@ def freeze_program(typed: TypedProgram, seed: int = 0) -> list[Statement]:
     Assignment values, to variables and to properties, have earlier variable
     bindings substituted; assertion conditions keep variable names, which
     evaluate through `ConstraintSet.bindings`.
+
+    The draw is made once per typed program and seed (`TypedProgram.frozen`
+    keeps it), so `build_scene` and `compile_constraints` read the same
+    statements.
     """
+    frozen = typed.frozen.get(seed)
+    if frozen is None:
+        frozen = typed.frozen[seed] = _freeze(typed.program.statements, seed)
+    return frozen
+
+
+def _freeze(statements: tuple[Statement, ...], seed: int) -> tuple[Statement, ...]:
     rng = random.Random(seed)
     env: dict[str, Expr] = {}
     frozen: list[Statement] = []
-    for stmt in typed.program.statements:
+    for stmt in statements:
         if isinstance(stmt, Assign):
             stmt = replace(stmt, value=_freeze_expr(stmt.value, env, rng, substitute=True))
             if stmt.prop is None:
@@ -298,7 +309,7 @@ def freeze_program(typed: TypedProgram, seed: int = 0) -> list[Statement]:
         elif isinstance(stmt, Assert):
             stmt = replace(stmt, condition=_freeze_assertion(stmt.condition, env, rng))
         frozen.append(stmt)
-    return frozen
+    return tuple(frozen)
 
 
 def _freeze_assertion(node: Assertion, env: dict[str, Expr], rng: random.Random) -> Assertion:

@@ -9,7 +9,7 @@ String literals coerce to Color and Material in assignment position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from sthl.dsl.nodes import (
     And,
@@ -31,6 +31,7 @@ from sthl.dsl.nodes import (
     Rand,
     Rot,
     Span,
+    Statement,
     StringLit,
     ValueType,
     Vec3,
@@ -81,6 +82,10 @@ class TypedProgram:
 
     program: Program
     symbols: dict[str, Symbol]
+    #: `constraints.freeze_program`'s memo: seed -> frozen statements.
+    frozen: dict[int, tuple[Statement, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def objects(self) -> list[str]:
         return [s.name for s in self.symbols.values() if s.kind == "object"]

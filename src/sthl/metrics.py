@@ -7,6 +7,10 @@ one-to-one mapping with the Hungarian algorithm. Layout resemblance uses a
 thresholded many-to-many confidence matrix with an object-name occurrence
 filter. Counting conventions are asymmetric on purpose: object TP counts
 the generated side, layout TP counts the ground-truth side.
+
+scipy is imported only when the Hungarian matching first needs it, so
+importing this module (and every `sthl` command but `eval`) does not
+load it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from sthl import constraints as constraints_mod
 from sthl.dsl import parse, typecheck
@@ -107,6 +110,8 @@ def hungarian_assign(matrix: np.ndarray) -> list[tuple[int, int]]:
     Zero entries are unassignable: pairs whose confidence is 0 never appear
     in the result.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import; only matching needs it
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return []

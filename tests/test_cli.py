@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -342,6 +345,64 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     assert doc["solver"]["seed"] == 31
     monkeypatch.delenv("STHL_SEED")
     importlib.reload(cli_module)
+
+
+# `run` keeps one argument parser per process. The tests below pin what
+# that must not change: STHL_SEED is read on every call, a failed call
+# leaves nothing behind, and dispatch goes through the module's
+# `_cmd_<command>` names at call time (the benchmark's tracer wraps them).
+
+
+def _pipeline_seed(out: Path, *options: str) -> int:
+    assert run(["pipeline", LIVINGROOM, "--T", "0", "--out", str(out), *options]) == 0
+    return json.loads((out / "scene.json").read_text())["solver"]["seed"]
+
+
+def test_seed_env_is_read_on_every_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STHL_SEED", "31")
+    assert _pipeline_seed(tmp_path / "first") == 31
+    monkeypatch.setenv("STHL_SEED", "5")
+    assert _pipeline_seed(tmp_path / "second") == 5
+
+
+def test_explicit_seed_beats_the_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STHL_SEED", "31")
+    assert _pipeline_seed(tmp_path / "pkg", "--seed", "4") == 4
+
+
+def test_non_integer_seed_env_means_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STHL_SEED", "seven")
+    assert _pipeline_seed(tmp_path / "pkg") == 0
+
+
+def test_usage_error_leaves_the_next_run_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("STHL_SEED", raising=False)
+    alone = tmp_path / "alone"
+    done = subprocess.run(
+        [sys.executable, "-m", "sthl.cli", "pipeline", LIVINGROOM, "--out", str(alone)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", LIVINGROOM, "--seed", "9", "--k", "0", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    after = tmp_path / "after"
+    assert run(["pipeline", LIVINGROOM, "--out", str(after)]) == 0
+    names = sorted(p.name for p in alone.iterdir())
+    assert names == sorted(p.name for p in after.iterdir())
+    for name in names:
+        assert (after / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_command_replaced_after_a_run_is_the_one_run(monkeypatch, capsys):
+    import sthl.cli as cli_module
+
+    assert run(["check", BEDROOM]) == 0
+    seen = []
+    monkeypatch.setattr(cli_module, "_cmd_check", lambda args: seen.append(args.file) or 0)
+    assert run(["check", BEDROOM]) == 0
+    assert seen == [BEDROOM]
 
 
 def test_pipeline_with_database(tmp_path):

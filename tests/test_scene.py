@@ -384,3 +384,16 @@ def test_constraint_on_a_missing_object_raises_eval_error():
         evaluate(by_kind["hidden-gravity"], ctx)
     layout.objects.append(cube(oid="b", pos=(2.0, 0.5, 1.0)))
     assert evaluate(by_kind["explicit"], ctx)
+
+
+def test_object_copy_is_an_equal_distinct_object():
+    original = SceneObject(
+        "lamp", "lamp", (0.3, 1.2, 0.3), "brass", "metal", "tall", Transform(pos=(1.0, 0.0, 2.0)),
+        "room", preplaced=True,
+    )
+    clone = original.copy()
+    assert clone == original and clone is not original
+    assert type(clone) is SceneObject
+    clone.transform = Transform(pos=(5.0, 0.0, 5.0))
+    assert original.transform == Transform(pos=(1.0, 0.0, 2.0))
+    assert clone != original
