@@ -2,7 +2,9 @@
 eval, and the full pipeline.
 
 Exit codes: 0 success, 1 domain error (parse/type/placement/format), 2
-usage error. Diagnostics go to stderr; artifacts go to files.
+usage error. Diagnostics go to stderr; artifacts go to files. Every
+document a command writes and a later command reads back (solve output,
+layout snapshots, scene packages) is encoded and checked by `sthl.export`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from sthl import assets as assets_mod
@@ -30,203 +32,11 @@ from sthl.dsl.nodes import (
     Declare,
 )
 from sthl.dsl.printer import print_assertion, print_expr
-from sthl.errors import FormatError, SthlError, read_text
-from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
-from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
+from sthl.errors import SthlError, read_text
+from sthl.scene import WALL_THICKNESS
+from sthl.solver import SolverConfig, render_report, solve
 
 DEFAULT_SOLVE_OUT = "solve.json"
-
-
-# ---------------------------------------------------------------------------
-# Serialization helpers (solve output file)
-
-
-def _transform_doc(t: Transform) -> dict:
-    return {"pos": list(t.pos), "rotXZY": list(t.rot), "scale": list(t.scale)}
-
-
-def _read_transform(doc: dict) -> Transform:
-    return Transform(
-        pos=_numbers(doc["pos"], 3),
-        rot=_numbers(doc["rotXZY"], 3),
-        scale=_numbers(doc["scale"], 3),
-    )
-
-
-# Checked reads of solve-output values: a TypeError here becomes a
-# FormatError naming the file in `load_solve_output`.
-
-
-def _number(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"expected a finite number, not {value!r}")
-    return float(value)
-
-
-def _numbers(values, count: int) -> tuple:
-    if not isinstance(values, list) or len(values) != count:
-        raise TypeError(f"expected a list of {count} numbers, not {values!r}")
-    return tuple(_number(v) for v in values)
-
-
-def _typed(value, kind: type):
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, not {value!r}")
-    return value
-
-
-def solve_output_document(
-    program: Program, built: BuiltScene, report: SolveReport, cfg: SolverConfig
-) -> dict:
-    return {
-        "program": print_program(program),
-        "config": asdict(cfg),
-        "scene": {
-            "objects": [
-                {
-                    "id": o.id,
-                    "category": o.category,
-                    "dimensions": list(o.dimensions),
-                    "color": o.color,
-                    "material": o.material,
-                    "features": o.features,
-                    "region": o.region,
-                }
-                for o in built.objects
-            ],
-            "regions": [
-                {
-                    "id": r.id,
-                    "vertices": [list(v) for v in r.vertices],
-                    "floorY": r.floor_y,
-                    "height": r.height,
-                    "wallThickness": r.wall_thickness,
-                }
-                for r in built.regions
-            ],
-            "connections": [
-                {
-                    "regionA": c.region_a,
-                    "regionB": c.region_b,
-                    "category": c.category,
-                    "dimensions": list(c.dimensions),
-                }
-                for c in built.connections
-            ],
-        },
-        "report": {
-            "terminated": report.terminated,
-            "bestIndex": report.best_index,
-            "bestRatio": report.best_ratio,
-            "iterations": [
-                {
-                    "index": rec.index,
-                    "ratio": rec.ratio,
-                    "unsatisfied": list(rec.unsatisfied),
-                    "batch": list(rec.batch),
-                    "moved": list(rec.moved),
-                    "transforms": {
-                        o.id: _transform_doc(o.transform) for o in rec.layout.objects
-                    },
-                }
-                for rec in report.iterations
-            ],
-        },
-    }
-
-
-def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
-    """Read a file written by `sthl solve --out`.
-
-    Invalid JSON, a missing key, a value of the wrong type or not finite,
-    an object in an unlisted region and an out-of-range `k` or `T` are a
-    FormatError naming the file. Only the `config` keys that are
-    `SolverConfig` fields are read, so files holding more keys still load.
-    """
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    try:
-        return _read_solve_output(doc, path)
-    except KeyError as exc:
-        raise FormatError(f"{path}: solve output lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise FormatError(f"{path}: malformed solve output: {exc}") from None
-
-
-def _read_solve_output(
-    doc: dict, path: Path
-) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
-    program = parse(_typed(doc["program"], str), filename=str(path))
-    cfg = SolverConfig(**{f.name: _typed(doc["config"][f.name], int) for f in fields(SolverConfig)})
-    regions = [
-        Region(
-            id=_typed(r["id"], str),
-            vertices=tuple(_numbers(v, 2) for v in _typed(r["vertices"], list)),
-            floor_y=_number(r["floorY"]),
-            height=_number(r["height"]),
-            wall_thickness=_number(r["wallThickness"]),
-        )
-        for r in doc["scene"]["regions"]
-    ]
-    region_ids = {r.id for r in regions}
-    objects = [
-        SceneObject(
-            id=_typed(o["id"], str),
-            category=_typed(o["category"], str),
-            dimensions=_numbers(o["dimensions"], 3),
-            color=_typed(o["color"], str),
-            material=_typed(o["material"], str),
-            features=_typed(o["features"], str),
-            region=_typed(o["region"], str),
-        )
-        for o in doc["scene"]["objects"]
-    ]
-    for obj in objects:
-        if obj.region not in region_ids:
-            raise ValueError(f"object {obj.id!r} names unknown region {obj.region!r}")
-    connections = [
-        Connection(
-            _typed(c["regionA"], str),
-            _typed(c["regionB"], str),
-            _typed(c["category"], str),
-            _numbers(c["dimensions"], 3),
-        )
-        for c in doc["scene"].get("connections", [])
-    ]
-    built = BuiltScene(objects=objects, regions=regions)
-    records = []
-    for rec in doc["report"]["iterations"]:
-        layout = SceneLayout(
-            regions=list(regions),
-            objects=[o.copy() for o in objects],
-            connections=connections,
-        )
-        for obj in layout.objects:
-            obj.transform = _read_transform(rec["transforms"][obj.id])
-        records.append(
-            IterationRecord(
-                index=_typed(rec["index"], int),
-                layout=layout,
-                unsatisfied=tuple(_typed(i, int) for i in rec["unsatisfied"]),
-                ratio=_number(rec["ratio"]),
-                batch=tuple(_typed(i, int) for i in rec["batch"]),
-                moved=tuple(_typed(name, str) for name in rec["moved"]),
-            )
-        )
-    best_index = doc["report"]["bestIndex"]
-    best = next((r for r in records if r.index == best_index), None)
-    if best is None:
-        raise ValueError(f"bestIndex {best_index!r} names no iteration")
-    report = SolveReport(
-        iterations=records,
-        best_index=best_index,
-        best_layout=best.layout,
-        best_ratio=_number(doc["report"]["bestRatio"]),
-        terminated=_typed(doc["report"]["terminated"], str),
-    )
-    return program, built, report, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +155,13 @@ def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
     solver_cfg = cfg.solver()
     report = solve(built.objects, built.regions, cs, solver_cfg)
     if cfg.keep_intermediates:
-        doc = solve_output_document(program, built, report, solver_cfg)
-        (out_dir / "solve.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        export_mod.write_json(
+            out_dir / "solve.json",
+            export_mod.solve_output_document(program, built, report, solver_cfg),
         )
         for rec in report.iterations:
-            snapshot = {
-                o.id: _transform_doc(o.transform) for o in rec.layout.objects
-            }
-            (out_dir / f"layout_iter{rec.index}.json").write_text(
-                json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            export_mod.write_json(
+                out_dir / f"layout_iter{rec.index}.json", export_mod.layout_transforms(rec.layout)
             )
 
     # Database indexes carry no mesh geometry; assume unit native extents
@@ -405,9 +212,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cs = constraints_mod.compile_constraints(typed, seed=args.seed)
     cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
     report = solve(built.objects, built.regions, cs, cfg)
-    doc = solve_output_document(program, built, report, cfg)
     out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    export_mod.write_json(out, export_mod.solve_output_document(program, built, report, cfg))
     if args.report:
         Path(args.report).write_text(render_report(report, cs, cfg), encoding="utf-8")
     print(
@@ -443,7 +249,7 @@ def _cmd_assets(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    program, built, report, solver_cfg = load_solve_output(Path(args.solve_output))
+    program, built, report, solver_cfg = export_mod.load_solve_output(Path(args.solve_output))
     typed = typecheck(program)
     cs = constraints_mod.compile_constraints(typed, seed=solver_cfg.rng_seed)
     cfg = PipelineConfig(seed=solver_cfg.rng_seed, tau=args.tau, db_path=args.db)

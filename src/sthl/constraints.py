@@ -402,16 +402,11 @@ def evaluate(constraint: CompiledConstraint, ctx: EvalContext) -> bool:
     return _eval_assertion(constraint.assertion, ctx)
 
 
-def evaluate_all(cs: ConstraintSet, ctx: EvalContext) -> list[bool]:
-    return [evaluate(c, ctx) for c in cs.constraints]
-
-
 def satisfaction_ratio(cs: ConstraintSet, ctx: EvalContext) -> float:
     """Satisfied over total constraints; an empty set counts as fully satisfied."""
     if not cs.constraints:
         return 1.0
-    results = evaluate_all(cs, ctx)
-    return sum(results) / len(results)
+    return sum(evaluate(c, ctx) for c in cs.constraints) / len(cs.constraints)
 
 
 def _eval_assertion(node: CompiledAssertion, ctx: EvalContext) -> bool:

@@ -1,4 +1,9 @@
-"""Scene package assembly and round-trip IO.
+"""Scene package assembly, and every document sthl writes and reads back.
+
+This module owns each document's format: the scene package below, and
+the solve output of `sthl solve --out` that `sthl export` reads. The JSON
+documents share one writer (`write_json`), one region and one connection
+codec, and checked reads that make a malformed file a FormatError.
 
 A package directory holds four files:
 
@@ -21,11 +26,14 @@ application order x, z, y.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from sthl import scene as scene_mod
 from sthl.assets import AssetDecision
+from sthl.build import BuiltScene
 from sthl.constraints import (
     CompiledConstraint,
     ConstraintSet,
@@ -35,7 +43,7 @@ from sthl.constraints import (
 from sthl.dsl import Program, parse, print_program, typecheck
 from sthl.errors import AssetMismatch, FormatError, IoError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
-from sthl.solver import SolveReport, SolverConfig, render_report, solve
+from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
 SCHEMA_VERSION = 1
 
@@ -117,9 +125,7 @@ class ScenePackage:
             world = tuple(
                 s * n for s, n in zip(packed.scale, entry.native_extents)
             )
-            transform_scale = tuple(
-                w / d if d else 1.0 for w, d in zip(world, entry.dimensions)
-            )
+            transform_scale = tuple(w / d for w, d in zip(world, entry.dimensions))
             objects.append(
                 SceneObject(
                     id=packed.id,
@@ -144,7 +150,7 @@ class ScenePackage:
 
     def verdicts_for(self, object_id: str, seed: int | None = None) -> list[tuple[CompiledConstraint, bool]]:
         """Re-evaluate the embedded constraints that involve one object."""
-        seed = seed if seed is not None else int(self.solver_meta.get("seed", 0))
+        seed = seed if seed is not None else self.solver_meta.get("seed", 0)
         typed = typecheck(self.program())
         cs = compile_constraints(typed, seed=seed)
         layout = self.to_layout()
@@ -285,11 +291,244 @@ def _snap_supported(
 
 
 # ---------------------------------------------------------------------------
-# Writing
+# Shared codecs: JSON text, checked reads, regions, connections, transforms
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write `doc` as every JSON document sthl writes: indented, keys sorted."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _load_json(path: Path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+
+
+@contextmanager
+def _checked(where: str | Path, what: str):
+    """Make a missing key, or a value that a checked read or a scene-model
+    constructor rejects, a FormatError at `where` about `what`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{where}: {what} lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{where}: malformed {what}: {exc}") from None
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, not {value!r}")
+    return float(value)
+
+
+def _numbers(values, count: int) -> tuple:
+    if not isinstance(values, list) or len(values) != count:
+        raise TypeError(f"expected a list of {count} numbers, not {values!r}")
+    return tuple(_number(v) for v in values)
+
+
+def _extents(values) -> tuple:
+    """Three positive numbers, as `Transform` requires of the scale they make."""
+    out = _numbers(values, 3)
+    if min(out) <= 0:
+        raise ValueError(f"expected 3 positive numbers, not {values!r}")
+    return out
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, not {value!r}")
+    return value
+
+
+def _region_doc(region: Region) -> dict:
+    """A solve-output region; a scene.json region adds textures and walls."""
+    return {
+        "id": region.id,
+        "vertices": [[float(x), float(z)] for x, z in region.vertices],
+        "floorY": float(region.floor_y),
+        "height": float(region.height),
+        "wallThickness": float(region.wall_thickness),
+    }
+
+
+def _read_region(doc: dict) -> Region:
+    return Region(
+        id=_typed(doc["id"], str),
+        vertices=tuple(_numbers(v, 2) for v in _typed(doc["vertices"], list)),
+        floor_y=_number(doc["floorY"]),
+        height=_number(doc["height"]),
+        wall_thickness=_number(doc["wallThickness"]),
+        floor_texture=_typed(doc.get("floorTexture", ""), str),
+        wall_texture=_typed(doc.get("wallTexture", ""), str),
+    )
+
+
+def _connection_doc(c: Connection) -> dict:
+    return {
+        "regionA": c.region_a,
+        "regionB": c.region_b,
+        "category": c.category,
+        "dimensions": _vec(c.dimensions),
+    }
+
+
+def _read_connection(doc: dict) -> Connection:
+    return Connection(
+        region_a=_typed(doc["regionA"], str),
+        region_b=_typed(doc["regionB"], str),
+        category=_typed(doc.get("category", "door"), str),
+        dimensions=_numbers(doc["dimensions"], 3),
+    )
+
+
+def _check_regions(objects, regions: list[Region]) -> None:
+    """Every object names a region the document lists."""
+    listed = {r.id for r in regions}
+    for obj in objects:
+        if obj.region not in listed:
+            raise ValueError(f"object {obj.id!r} names unknown region {obj.region!r}")
 
 
 def _vec(values) -> list[float]:
     return [float(v) for v in values]
+
+
+def layout_transforms(layout: SceneLayout) -> dict:
+    """Transforms by object id: a solve-output iteration, and a
+    `layout_iter<n>.json` snapshot."""
+    return {
+        o.id: {
+            "pos": list(o.transform.pos),
+            "rotXZY": list(o.transform.rot),
+            "scale": list(o.transform.scale),
+        }
+        for o in layout.objects
+    }
+
+
+def _read_transform(doc: dict) -> Transform:
+    return Transform(
+        pos=_numbers(doc["pos"], 3),
+        rot=_numbers(doc["rotXZY"], 3),
+        scale=_numbers(doc["scale"], 3),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Solve output (`sthl solve --out`, read back by `sthl export`)
+
+
+def solve_output_document(
+    program: Program, built: BuiltScene, report: SolveReport, cfg: SolverConfig
+) -> dict:
+    return {
+        "program": print_program(program),
+        "config": asdict(cfg),
+        "scene": {
+            "objects": [
+                {
+                    "id": o.id,
+                    "category": o.category,
+                    "dimensions": list(o.dimensions),
+                    "color": o.color,
+                    "material": o.material,
+                    "features": o.features,
+                    "region": o.region,
+                }
+                for o in built.objects
+            ],
+            "regions": [_region_doc(r) for r in built.regions],
+            "connections": [_connection_doc(c) for c in built.connections],
+        },
+        "report": {
+            "terminated": report.terminated,
+            "bestIndex": report.best_index,
+            "bestRatio": report.best_ratio,
+            "iterations": [
+                {
+                    "index": rec.index,
+                    "ratio": rec.ratio,
+                    "unsatisfied": list(rec.unsatisfied),
+                    "batch": list(rec.batch),
+                    "moved": list(rec.moved),
+                    "transforms": layout_transforms(rec.layout),
+                }
+                for rec in report.iterations
+            ],
+        },
+    }
+
+
+def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
+    """Read a file written by `sthl solve --out`.
+
+    Invalid JSON, a missing key, a value of the wrong type or not finite, a
+    dimension that is not positive, an object in an unlisted region and an
+    out-of-range `k` or `T` are a FormatError naming the file. Only the
+    `config` keys that are `SolverConfig` fields are read, so files holding
+    more keys still load.
+    """
+    doc = _load_json(path)
+    with _checked(path, "solve output"):
+        program = parse(_typed(doc["program"], str), filename=str(path))
+        config = doc["config"]
+        cfg = SolverConfig(**{f.name: _typed(config[f.name], int) for f in fields(SolverConfig)})
+        scene = doc["scene"]
+        regions = [_read_region(r) for r in scene["regions"]]
+        objects = [
+            SceneObject(
+                id=_typed(o["id"], str),
+                category=_typed(o["category"], str),
+                dimensions=_extents(o["dimensions"]),
+                color=_typed(o["color"], str),
+                material=_typed(o["material"], str),
+                features=_typed(o["features"], str),
+                region=_typed(o["region"], str),
+            )
+            for o in scene["objects"]
+        ]
+        _check_regions(objects, regions)
+        connections = [_read_connection(c) for c in scene.get("connections", [])]
+        built = BuiltScene(objects=objects, regions=regions)
+        records = []
+        for rec in doc["report"]["iterations"]:
+            layout = SceneLayout(
+                regions=list(regions),
+                objects=[o.copy() for o in objects],
+                connections=connections,
+            )
+            for obj in layout.objects:
+                obj.transform = _read_transform(rec["transforms"][obj.id])
+            records.append(
+                IterationRecord(
+                    index=_typed(rec["index"], int),
+                    layout=layout,
+                    unsatisfied=tuple(_typed(i, int) for i in rec["unsatisfied"]),
+                    ratio=_number(rec["ratio"]),
+                    batch=tuple(_typed(i, int) for i in rec["batch"]),
+                    moved=tuple(_typed(name, str) for name in rec["moved"]),
+                )
+            )
+        best_index = doc["report"]["bestIndex"]
+        best = next((r for r in records if r.index == best_index), None)
+        if best is None:
+            raise ValueError(f"bestIndex {best_index!r} names no iteration")
+        report = SolveReport(
+            iterations=records,
+            best_index=best_index,
+            best_layout=best.layout,
+            best_ratio=_number(doc["report"]["bestRatio"]),
+            terminated=_typed(doc["report"]["terminated"], str),
+        )
+        return program, built, report, cfg
+
+
+# ---------------------------------------------------------------------------
+# Writing
 
 
 def scene_document(pkg: ScenePackage) -> dict:
@@ -298,11 +537,7 @@ def scene_document(pkg: ScenePackage) -> dict:
         mesh = thicken_walls(region, region.wall_thickness)
         regions.append(
             {
-                "id": region.id,
-                "vertices": [[float(x), float(z)] for x, z in region.vertices],
-                "floorY": float(region.floor_y),
-                "height": float(region.height),
-                "wallThickness": float(region.wall_thickness),
+                **_region_doc(region),
                 "floorTexture": region.floor_texture,
                 "wallTexture": region.wall_texture,
                 "floorSlabThickness": float(mesh.floor_thickness),
@@ -324,15 +559,7 @@ def scene_document(pkg: ScenePackage) -> dict:
         "schemaVersion": SCHEMA_VERSION,
         "solver": pkg.solver_meta,
         "regions": regions,
-        "connections": [
-            {
-                "regionA": c.region_a,
-                "regionB": c.region_b,
-                "category": c.category,
-                "dimensions": _vec(c.dimensions),
-            }
-            for c in pkg.connections
-        ],
+        "connections": [_connection_doc(c) for c in pkg.connections],
         "objects": [
             {
                 "id": o.id,
@@ -376,10 +603,7 @@ def write_package(pkg: ScenePackage, out_dir: str | Path) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
         paths = []
         scene_path = out / SCENE_FILE
-        scene_path.write_text(
-            json.dumps(scene_document(pkg), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(scene_path, scene_document(pkg))
         paths.append(scene_path)
 
         manifest_path = out / MANIFEST_FILE
@@ -415,86 +639,55 @@ def write_package(pkg: ScenePackage, out_dir: str | Path) -> list[Path]:
 # Reading
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise FormatError(message)
-
-
-def _triple(values, what: str) -> Vec:
-    _require(isinstance(values, list) and len(values) == 3, f"{what} must be a 3-list")
-    return (float(values[0]), float(values[1]), float(values[2]))
-
-
 def read_package(package_dir: str | Path) -> ScenePackage:
     """Reconstruct a ScenePackage from a directory written by write_package.
 
-    A malformed or missing file is a FormatError; a file that cannot be
-    read or is not UTF-8 text is an IoError naming it."""
+    A missing file, a missing key, a value of the wrong type, length or
+    sign, a number that is not finite, an object in an unlisted region and
+    scene and manifest objects that differ are a FormatError naming the
+    file (and manifest line); an unreadable or non-UTF-8 file is an
+    IoError naming it.
+    """
     root = Path(package_dir)
     scene_path = root / SCENE_FILE
     if not scene_path.exists():
         raise FormatError(f"{scene_path}: missing scene document")
-    try:
-        doc = json.loads(read_text(scene_path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{scene_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-
-    _require(doc.get("schemaVersion") == SCHEMA_VERSION, f"{scene_path}: unsupported schema")
-
-    regions = []
-    for entry in doc.get("regions", []):
-        try:
-            regions.append(
-                Region(
-                    id=entry["id"],
-                    vertices=tuple((float(x), float(z)) for x, z in entry["vertices"]),
-                    floor_y=float(entry["floorY"]),
-                    height=float(entry["height"]),
-                    wall_thickness=float(entry["wallThickness"]),
-                    floor_texture=entry.get("floorTexture", ""),
-                    wall_texture=entry.get("wallTexture", ""),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise FormatError(f"{scene_path}: bad region entry: {exc}") from None
-    connections = [
-        Connection(
-            region_a=c["regionA"],
-            region_b=c["regionB"],
-            category=c.get("category", "door"),
-            dimensions=_triple(c["dimensions"], "connection dimensions"),
-        )
-        for c in doc.get("connections", [])
-    ]
-    objects = []
-    for entry in doc.get("objects", []):
-        for key in ("id", "assetRef", "position", "rotationXZY", "scale", "region"):
-            _require(key in entry, f"{scene_path}: object missing field {key!r}")
-        objects.append(
+    doc = _load_json(scene_path)
+    with _checked(scene_path, "scene document"):
+        if doc.get("schemaVersion") != SCHEMA_VERSION:
+            raise FormatError(f"{scene_path}: unsupported schema")
+        solver_meta = _typed(doc.get("solver", {}), dict)
+        _typed(solver_meta.get("seed", 0), int)  # the seed a re-solve and `verdicts_for` use
+        regions = [_read_region(r) for r in doc.get("regions", [])]
+        connections = [_read_connection(c) for c in doc.get("connections", [])]
+        objects = [
             PackagedObject(
-                id=entry["id"],
-                category=entry.get("category", ""),
-                asset_ref=entry["assetRef"],
-                position=_triple(entry["position"], "position"),
-                rotation_xzy=_triple(entry["rotationXZY"], "rotationXZY"),
-                scale=_triple(entry["scale"], "scale"),
-                region=entry["region"],
-                color=entry.get("color", ""),
-                material=entry.get("material", ""),
-                features=entry.get("features", ""),
-                collider=entry.get("collider", "box"),
-                static=bool(entry.get("static", False)),
+                id=_typed(o["id"], str),
+                category=_typed(o.get("category", ""), str),
+                asset_ref=_typed(o["assetRef"], str),
+                position=_numbers(o["position"], 3),
+                rotation_xzy=_numbers(o["rotationXZY"], 3),
+                scale=_extents(o["scale"]),
+                region=_typed(o["region"], str),
+                color=_typed(o.get("color", ""), str),
+                material=_typed(o.get("material", ""), str),
+                features=_typed(o.get("features", ""), str),
+                collider=_typed(o.get("collider", "box"), str),
+                static=_typed(o.get("static", False), bool),
             )
-        )
-    lights = [
-        Light(
-            id=l["id"],
-            position=_triple(l["position"], "light position"),
-            intensity=float(l.get("intensity", 1.0)),
-            color=l.get("color", "white"),
-        )
-        for l in doc.get("lights", [])
-    ]
+            for o in doc.get("objects", [])
+        ]
+        _check_regions(objects, regions)
+        lights = [
+            Light(
+                id=_typed(l["id"], str),
+                position=_numbers(l["position"], 3),
+                intensity=_number(l.get("intensity", 1.0)),
+                color=_typed(l.get("color", "white"), str),
+            )
+            for l in doc.get("lights", [])
+        ]
+        snap_reverted = tuple(_typed(s, str) for s in _typed(doc.get("snapReverted", []), list))
 
     manifest_path = root / MANIFEST_FILE
     if not manifest_path.exists():
@@ -506,19 +699,17 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         parts = line.split("\t")
         if len(parts) != 6:
             raise FormatError(f"{manifest_path}:{lineno}: expected 6 fields, found {len(parts)}")
-        try:
+        with _checked(f"{manifest_path}:{lineno}", "manifest row"):
             manifest.append(
                 ManifestEntry(
                     object_id=parts[0],
                     asset_uri=parts[1],
                     verdict=parts[2],
-                    score=float(parts[3]),
-                    native_extents=tuple(float(v) for v in parts[4].split(",")),  # type: ignore[arg-type]
-                    dimensions=tuple(float(v) for v in parts[5].split(",")),  # type: ignore[arg-type]
+                    score=_number(float(parts[3])),
+                    native_extents=_extents([float(v) for v in parts[4].split(",")]),
+                    dimensions=_extents([float(v) for v in parts[5].split(",")]),
                 )
             )
-        except ValueError as exc:
-            raise FormatError(f"{manifest_path}:{lineno}: {exc}") from None
 
     scene_ids = {o.id for o in objects}
     manifest_ids = {m.object_id for m in manifest}
@@ -550,9 +741,9 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         manifest=manifest,
         metadata_text=metadata_text,
         report_text=report_text,
-        solver_meta=doc.get("solver", {}),
+        solver_meta=solver_meta,
         lights=lights,
-        snap_reverted=tuple(doc.get("snapReverted", [])),
+        snap_reverted=snap_reverted,
         _parsed=(metadata_text, program),
     )
 
@@ -570,7 +761,7 @@ def resolve_region(
     The constraint subset is restricted to constraints fully contained in
     the region (its objects, the region itself, and typed variables).
     """
-    cfg = cfg or SolverConfig(rng_seed=int(pkg.solver_meta.get("seed", 0)))
+    cfg = cfg or SolverConfig(rng_seed=pkg.solver_meta.get("seed", 0))
     region = next((r for r in pkg.regions if r.id == region_id), None)
     if region is None:
         raise KeyError(region_id)

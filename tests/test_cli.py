@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from sthl.cli import run
 from sthl.dsl.parser import MAX_NESTING
+from sthl.errors import SthlError
+from sthl.export import read_package, resolve_region
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 LIVINGROOM = str(FIXTURES / "livingroom.sthl")
@@ -292,6 +295,49 @@ def test_mutated_solve_output_exports_or_is_a_domain_error(solve_output, data):
     mutated = solve_output.with_name("mutated.json")
     mutated.write_text(json.dumps(doc))
     assert run(["export", str(mutated), "--out", str(solve_output.with_name("pkg"))]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def package(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mutated-package") / "pkg"
+    assert run(["pipeline", BEDROOM, "--T", "1", "--out", str(out)]) == 0
+    return out
+
+
+MANIFEST_MUTATIONS = ["1,1", "nan,1,1", "0,1,1", "1,1,1,1", "x"]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_package_reads_back_or_is_a_domain_error(package, data):
+    doc = json.loads((package / "scene.json").read_text())
+    rows = [line.split("\t") for line in (package / "manifest.tsv").read_text().splitlines()]
+    if data.draw(st.booleans()):
+        *keys, last = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+        value = data.draw(st.sampled_from(MUTATIONS))
+        node = doc
+        for key in keys:
+            node = node[key]
+        if value is not DELETE:
+            node[last] = value
+        elif isinstance(node, dict):
+            del node[last]
+    else:
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, 5))] = data.draw(st.sampled_from(MANIFEST_MUTATIONS))
+    mutated = package.with_name("mutated")
+    shutil.rmtree(mutated, ignore_errors=True)
+    shutil.copytree(package, mutated)
+    (mutated / "scene.json").write_text(json.dumps(doc))
+    (mutated / "manifest.tsv").write_text("".join("\t".join(row) + "\n" for row in rows))
+    try:
+        pkg = read_package(mutated)
+        for region in sorted({o.region for o in pkg.objects}):
+            resolve_region(pkg, region)
+        for obj in pkg.objects:
+            pkg.verdicts_for(obj.id)
+    except SthlError:
+        pass
 
 
 def test_eval_reports_resemblance(capsys):

@@ -14,7 +14,6 @@ from sthl.constraints import (
     Supported,
     compile_constraints,
     evaluate,
-    evaluate_all,
     format_verdict_line,
     infer_region_assignments,
     satisfaction_ratio,
@@ -298,9 +297,9 @@ def test_ratio_six_of_nine():
     objs = [
         SceneObject(n, transform=Transform(pos=(5.0, 0.5, 5.0))) for n in ("a", "b", "c")
     ]
-    ctx = cs.context(simple_layout(*objs))
-    results = evaluate_all(cs, ctx)
-    assert sum(results) == 6
+    layout = simple_layout(*objs)
+    ctx = cs.context(layout)
+    assert sum(cs.verdicts(layout).values()) == 6
     assert satisfaction_ratio(cs, ctx) == pytest.approx(6 / 9, abs=1e-9)
 
 

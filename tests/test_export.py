@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from sthl import export
 from sthl.assets import AssetDecision, AssetHandle, AssetQuery
+from sthl.cli import run
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
 from sthl.errors import AssetMismatch, FormatError, IoError
@@ -21,6 +24,7 @@ from sthl.export import (
 from sthl.scene import Region, SceneLayout, SceneObject, Transform
 from sthl.solver import SolverConfig, solve
 
+ROOT = Path(__file__).parent.parent
 SOURCE = """\
 region room;
 room.pos <- vec3(5, 0, 5);
@@ -255,6 +259,94 @@ def test_manifest_extra_object_rejected(tmp_path):
     )
     with pytest.raises(FormatError, match="ghost"):
         read_package(tmp_path / "out")
+
+
+@pytest.fixture(scope="module")
+def livingroom_package(tmp_path_factory):
+    out = tmp_path_factory.mktemp("livingroom") / "pkg"
+    assert run(["pipeline", str(ROOT / "fixtures" / "livingroom.sthl"), "--T", "0",
+                "--out", str(out)]) == 0
+    return out
+
+
+def _set_object(key, value):
+    def edit(doc):
+        doc["objects"][0][key] = value
+        return doc
+    return edit
+
+
+def _set_manifest(field, text):
+    def edit(rows):
+        rows[0][field] = text
+        return rows
+    return edit
+
+
+# Each edit of a package `sthl pipeline` wrote; then the start of the
+# message after the file name (scene.json, or manifest.tsv and its line).
+# Each used to pass `read_package` and fail in `resolve_region` or
+# `verdicts_for`, or be accepted.
+BAD_PACKAGES = {
+    "text-position": (
+        _set_object("position", ["a", 0, 0]),
+        "scene.json: malformed scene document: expected a finite number, not 'a'",
+    ),
+    "list-document": (lambda doc: [doc], "scene.json: malformed scene document: 'list' object"),
+    "connection-no-regionB": (
+        lambda doc: {**doc, "connections": [{"regionA": "room", "dimensions": [1, 2, 0.1]}]},
+        "scene.json: scene document lacks key 'regionB'",
+    ),
+    "light-no-id": (
+        lambda doc: {**doc, "lights": [{"position": [0, 2, 0]}]},
+        "scene.json: scene document lacks key 'id'",
+    ),
+    "nan-position": (
+        _set_object("position", [float("nan"), 0, 0]),
+        "scene.json: malformed scene document: expected a finite number, not nan",
+    ),
+    "zero-scale": (
+        _set_object("scale", [0, 1, 1]),
+        "scene.json: malformed scene document: expected 3 positive numbers, not [0, 1, 1]",
+    ),
+    "unknown-region": (
+        _set_object("region", "nowhere"),
+        "scene.json: malformed scene document: object 'sofa' names unknown region 'nowhere'",
+    ),
+    "short-extents": (
+        _set_manifest(4, "1,1"),
+        "manifest.tsv:1: malformed manifest row: expected a list of 3 numbers, not [1.0, 1.0]",
+    ),
+    "zero-extent": (
+        _set_manifest(4, "0,1,1"),
+        "manifest.tsv:1: malformed manifest row: expected 3 positive numbers",
+    ),
+    "nan-extent": (
+        _set_manifest(4, "nan,1,1"),
+        "manifest.tsv:1: malformed manifest row: expected a finite number, not nan",
+    ),
+    "long-dimensions": (
+        _set_manifest(5, "1,1,1,1"),
+        "manifest.tsv:1: malformed manifest row: expected a list of 3 numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PACKAGES))
+def test_malformed_package_is_a_format_error_naming_the_file(livingroom_package, tmp_path, case):
+    edit, message = BAD_PACKAGES[case]
+    out = tmp_path / "pkg"
+    shutil.copytree(livingroom_package, out)
+    if message.startswith(export.SCENE_FILE):
+        path = out / export.SCENE_FILE
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    else:
+        path = out / export.MANIFEST_FILE
+        rows = edit([line.split("\t") for line in path.read_text().splitlines()])
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_package(out)
+    assert str(exc.value).startswith(f"{out}/{message}")
 
 
 def test_wall_slabs_in_scene_document():

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import io
 import math
+import random
+import shutil
+from contextlib import redirect_stderr
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sthl.assets import AssetCandidate, AssetEntity, formulate_query, score_retrieval
+from sthl.cli import run
+from sthl.dsl import print_program
 from sthl.dsl.printer import format_number
+from sthl.errors import SthlError
+from sthl.export import read_package, resolve_region
 from sthl.metrics import MatchScores, harmonic_mean, overall_resemblance
 from sthl.scene import SceneObject, Transform, collides
+
+from astgen import random_program
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -80,3 +91,32 @@ def test_f1_bounds(tp, fp, fn):
     assert scores.f1 <= max(scores.precision, scores.recall) + 1e-12
     overall = overall_resemblance(scores, scores)
     assert overall.f1 == scores.f1 or math.isclose(overall.f1, scores.f1)
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("end-to-end")
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_generated_program_runs_end_to_end_or_is_a_domain_error(work_dir, seed):
+    """Every package `sthl pipeline` writes reads back, re-solves a region
+    and re-evaluates an object's constraints; a program that cannot be
+    placed is a located error (exit 1), never a traceback."""
+    source = work_dir / "program.sthl"
+    source.write_text(print_program(random_program(random.Random(seed))), encoding="utf-8")
+    out = work_dir / "pkg"
+    shutil.rmtree(out, ignore_errors=True)
+    with redirect_stderr(io.StringIO()):
+        code = run(["pipeline", str(source), "--seed", "0", "--T", "1", "--out", str(out)])
+    assert code in (0, 1)
+    if code == 0:
+        try:
+            pkg = read_package(out)
+            if pkg.regions:
+                resolve_region(pkg, pkg.regions[0].id)
+            if pkg.objects:
+                pkg.verdicts_for(pkg.objects[0].id)
+        except SthlError:
+            pass

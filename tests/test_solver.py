@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sthl.build import build_scene
-from sthl.constraints import compile_constraints, evaluate, evaluate_all
+from sthl.constraints import compile_constraints, evaluate
 from sthl.dsl import parse, typecheck
 from sthl.errors import PlacementError
 from sthl.scene import Region, SceneLayout, SceneObject, Transform, collides, supported
@@ -243,10 +243,10 @@ def test_global_satisfied_count_never_decreases():
                  obj("c", pos=(7.0, 0.5, 7.0))],
     )
     cfg = SolverConfig(rng_seed=9)
-    before = sum(evaluate_all(cs, cs.context(layout)))
+    before = sum(cs.verdicts(layout).values())
     batch = [cs.constraints[0], cs.constraints[1]]
     result, _ = local_search_batch_solve(layout, batch, cs, cfg)
-    after = sum(evaluate_all(cs, cs.context(result)))
+    after = sum(cs.verdicts(result).values())
     assert after >= before
 
 
