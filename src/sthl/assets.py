@@ -12,11 +12,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from sthl.errors import FormatError, NoAssetError, WeightError, read_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Retrieval-vs-generation threshold used by the stock pipeline.
 DEFAULT_TAU = 0.652
@@ -218,6 +219,10 @@ def _decide(
     best: AssetCandidate | None = None
     best_score = 0.0
     if database:
+        # Imported here, so that a run with an empty database (`sthl
+        # pipeline` without `--db`) never loads numpy.
+        import numpy as np
+
         best = database[0]
         best_score = score_retrieval(best, query, visual_weight, semantic_weight, provider)
         visual = np.asarray(visual_scores(query), dtype=np.float64)
@@ -384,6 +389,8 @@ class HashProvider:
         ]
 
         def scores(query: AssetQuery) -> np.ndarray:
+            import numpy as np
+
             tail = query.text.encode("utf-8")
             states = [prefix.copy() for prefix in prefixes]
             for state in states:

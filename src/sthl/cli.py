@@ -21,7 +21,6 @@ from pathlib import Path
 from sthl import assets as assets_mod
 from sthl import constraints as constraints_mod
 from sthl import export as export_mod
-from sthl import metrics as metrics_mod
 from sthl.build import BuiltScene, build_scene
 from sthl.dsl import Program, TypedProgram, parse, print_program, typecheck
 from sthl.dsl.nodes import (
@@ -268,6 +267,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # The only command that needs `metrics`, and with it numpy and scipy.
+    from sthl import metrics as metrics_mod
+
     embedder: metrics_mod.Embedder
     if args.embeddings:
         embedder = metrics_mod.TsvEmbedder.load(args.embeddings)

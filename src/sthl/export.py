@@ -393,6 +393,25 @@ def _check_regions(objects, regions: list[Region]) -> None:
             raise ValueError(f"object {obj.id!r} names unknown region {obj.region!r}")
 
 
+def _read_object(doc: dict) -> PackagedObject:
+    """A scene.json object, as `read_package` reads it and `write_package`
+    checks it."""
+    return PackagedObject(
+        id=_typed(doc["id"], str),
+        category=_typed(doc.get("category", ""), str),
+        asset_ref=_typed(doc["assetRef"], str),
+        position=_numbers(doc["position"], 3),
+        rotation_xzy=_numbers(doc["rotationXZY"], 3),
+        scale=_extents(doc["scale"]),
+        region=_typed(doc["region"], str),
+        color=_typed(doc.get("color", ""), str),
+        material=_typed(doc.get("material", ""), str),
+        features=_typed(doc.get("features", ""), str),
+        collider=_typed(doc.get("collider", "box"), str),
+        static=_typed(doc.get("static", False), bool),
+    )
+
+
 def _vec(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -591,19 +610,28 @@ def scene_document(pkg: ScenePackage) -> dict:
 
 
 def write_package(pkg: ScenePackage, out_dir: str | Path) -> list[Path]:
-    """Write the four package files; returns the paths written."""
-    # Round-trip guarantee is enforced before any file is touched.
+    """Write the four package files; returns the paths written.
+
+    Nothing is written unless `read_package` could read the package back:
+    an embedded program that does not re-parse, and an object that fails
+    the reader's checks (an engine scale that overflows to infinity or
+    underflows to zero), are a FormatError, the latter naming the object.
+    """
     try:
         parse(pkg.metadata_text)
     except Exception as exc:
         raise FormatError(f"embedded program does not re-parse: {exc}") from exc
 
     out = Path(out_dir)
+    scene_path = out / SCENE_FILE
+    doc = scene_document(pkg)
+    for obj in doc["objects"]:
+        with _checked(scene_path, f"object {obj['id']!r}"):
+            _read_object(obj)
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = []
-        scene_path = out / SCENE_FILE
-        write_json(scene_path, scene_document(pkg))
+        write_json(scene_path, doc)
         paths.append(scene_path)
 
         manifest_path = out / MANIFEST_FILE
@@ -660,23 +688,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         _typed(solver_meta.get("seed", 0), int)  # the seed a re-solve and `verdicts_for` use
         regions = [_read_region(r) for r in doc.get("regions", [])]
         connections = [_read_connection(c) for c in doc.get("connections", [])]
-        objects = [
-            PackagedObject(
-                id=_typed(o["id"], str),
-                category=_typed(o.get("category", ""), str),
-                asset_ref=_typed(o["assetRef"], str),
-                position=_numbers(o["position"], 3),
-                rotation_xzy=_numbers(o["rotationXZY"], 3),
-                scale=_extents(o["scale"]),
-                region=_typed(o["region"], str),
-                color=_typed(o.get("color", ""), str),
-                material=_typed(o.get("material", ""), str),
-                features=_typed(o.get("features", ""), str),
-                collider=_typed(o.get("collider", "box"), str),
-                static=_typed(o.get("static", False), bool),
-            )
-            for o in doc.get("objects", [])
-        ]
+        objects = [_read_object(o) for o in doc.get("objects", [])]
         _check_regions(objects, regions)
         lights = [
             Light(

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from sthl.errors import DegenerateRegion
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec = tuple[float, float, float]
 Point2 = tuple[float, float]
@@ -183,6 +184,8 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         """The 8 world-space corners, shape (8, 3)."""
+        import numpy as np  # only callers of this method need numpy
+
         return np.array(self.points)
 
     def volume(self) -> float:
@@ -272,14 +275,15 @@ def collides(a: SceneObject, b: SceneObject) -> bool:
     return collision_margin(a, b) > _EPS
 
 
-def minimum_translation(a: SceneObject, b: SceneObject) -> tuple[float, np.ndarray]:
-    """Penetration depth and the world direction that moves `b` off `a` fastest."""
+def minimum_translation(a: SceneObject, b: SceneObject) -> tuple[float, Vec]:
+    """Penetration depth and the unit world direction that moves `b` off
+    `a` fastest."""
     box_a, box_b = world_box(a), world_box(b)
     margin, (l0, l1, l2) = _sat(box_a, box_b)
     (a0, a1, a2), (b0, b1, b2) = box_a.center, box_b.center
     if ((b0 - a0) * l0 + (b1 - a1) * l1) + (b2 - a2) * l2 < 0:
-        return margin, np.array((-l0, -l1, -l2))
-    return margin, np.array((l0, l1, l2))
+        return margin, (-l0, -l1, -l2)
+    return margin, (l0, l1, l2)
 
 
 def _sat(box_a: OrientedBox, box_b: OrientedBox) -> tuple[float, Vec]:

@@ -267,7 +267,7 @@ def _separation_sweep(layout: SceneLayout, cs: ConstraintSet) -> bool:
             # The reject is exact for any pair. It is kept to pairs across
             # regions because the benchmark's tracer self-test
             # (bench/test_bench.py) expects separating-axis tests on
-            # one-room fixtures whose pairs all lie apart (ROADMAP item 2).
+            # one-room fixtures whose pairs all lie apart (ROADMAP item 1).
             if a.region != b.region and scene.bounds_apart(bounds[i], bounds[j]):
                 continue
             if tuple(sorted((a.id, b.id))) in cs.allow_collide:
@@ -276,18 +276,19 @@ def _separation_sweep(layout: SceneLayout, cs: ConstraintSet) -> bool:
             if depth <= 1e-9:
                 continue  # face contact is not a collision
             any_collision = True
-            shift = (depth / 2.0 + _PAD) * axis
-            _translate(a, -shift)
-            _translate(b, shift)
+            step = depth / 2.0 + _PAD
+            dx, dy, dz = step * axis[0], step * axis[1], step * axis[2]
+            _translate(a, (-dx, -dy, -dz))
+            _translate(b, (dx, dy, dz))
             bounds[i] = scene.world_box(a).bounds
             bounds[j] = scene.world_box(b).bounds
     return any_collision
 
 
-def _translate(obj: SceneObject, delta) -> None:
+def _translate(obj: SceneObject, delta: scene.Vec) -> None:
     x, y, z = obj.transform.pos
     obj.transform = Transform(
-        (x + float(delta[0]), y + float(delta[1]), z + float(delta[2])),
+        (x + delta[0], y + delta[1], z + delta[2]),
         obj.transform.rot,
         obj.transform.scale,
     )

@@ -11,6 +11,8 @@ the same reverted objects and the same report text.
 
 from __future__ import annotations
 
+import numpy as np
+
 from sthl import scene
 from sthl import scene as scene_mod
 from sthl.constraints import ConstraintSet, evaluate, format_verdict_line
@@ -53,7 +55,7 @@ def _separation_sweep(layout: SceneLayout, cs: ConstraintSet) -> bool:
             if depth <= 1e-9:
                 continue  # face contact is not a collision
             any_collision = True
-            shift = (depth / 2.0 + _PAD) * axis
+            shift = (depth / 2.0 + _PAD) * np.asarray(axis)
             _translate(a, -shift)
             _translate(b, shift)
     return any_collision

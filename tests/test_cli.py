@@ -252,6 +252,39 @@ def test_malformed_solve_output_is_a_format_error_naming_the_file(tmp_path, caps
     assert not (tmp_path / "pkg").exists()
 
 
+# The bed's dimensions and transform scale in a real solve output of
+# bedroom.sthl, whose engine scale (world extents over native extents of 1)
+# overflows to infinity or underflows to zero; then the reader's complaint.
+UNREADABLE_EXPORTS = {
+    "overflow": ([1e308, 1, 1], [2, 1, 1], "expected a finite number, not inf"),
+    "underflow": (
+        [1e-300, 1, 1],
+        [1e-100, 1, 1],
+        "expected 3 positive numbers, not [0.0, 1.0, 1.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_EXPORTS))
+def test_export_refuses_a_package_it_cannot_read_back(tmp_path, capsys, case):
+    dimensions, scale, message = UNREADABLE_EXPORTS[case]
+    solved = tmp_path / "solve.json"
+    assert run(["solve", BEDROOM, "--T", "0", "--out", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    (bed,) = (o for o in doc["scene"]["objects"] if o["id"] == "bed")
+    bed["dimensions"] = dimensions
+    for rec in doc["report"]["iterations"]:
+        rec["transforms"]["bed"]["scale"] = scale
+    solved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    pkg = tmp_path / "pkg"
+    assert run(["export", str(solved), "--out", str(pkg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pkg / 'scene.json'}: malformed object 'bed': {message}\n"
+    )
+    assert not pkg.exists()
+
+
 def _paths(node, prefix=()):
     """Every key path into a JSON document, up to three items per list."""
     if isinstance(node, dict):
@@ -294,7 +327,12 @@ def test_mutated_solve_output_exports_or_is_a_domain_error(solve_output, data):
         del node[last]
     mutated = solve_output.with_name("mutated.json")
     mutated.write_text(json.dumps(doc))
-    assert run(["export", str(mutated), "--out", str(solve_output.with_name("pkg"))]) in (0, 1)
+    pkg = solve_output.with_name("pkg")
+    shutil.rmtree(pkg, ignore_errors=True)
+    code = run(["export", str(mutated), "--out", str(pkg)])
+    assert code in (0, 1)
+    if code == 0:
+        read_package(pkg)  # what export writes, the reader reads back
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,8 @@ def test_sat_matches_numpy_reference(pos_a, rot_a, scale_a, pos_b, rot_b, scale_
     b = box_object("b", pos_b, rot_b, scale_b)
     ref_margin, ref_axis = reference_translation(a, b)
     margin, axis = minimum_translation(a, b)
+    assert type(axis) is tuple and len(axis) == 3 and all(type(v) is float for v in axis)
+    axis = np.asarray(axis)
     assert abs(collision_margin(a, b) - ref_margin) <= 1e-12
     assert abs(margin - ref_margin) <= 1e-12
     if np.abs(axis - ref_axis).max() > 1e-12:
@@ -91,6 +93,7 @@ def test_minimum_translation_separates(pos_a, rot_a, scale_a, pos_b, rot_b, scal
     a = box_object("a", pos_a, rot_a, scale_a)
     b = box_object("b", pos_b, rot_b, scale_b)
     margin, axis = minimum_translation(a, b)
+    axis = np.asarray(axis)
     assume(margin > _EPS)
     assert abs(float(np.linalg.norm(axis)) - 1.0) <= 1e-12
     moved = np.array(pos_b) + axis * (margin + 1e-6)
