@@ -12,11 +12,12 @@ gravity support, and per-object region containment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from sthl import scene
 from sthl.dsl.nodes import (
+    CHILD_FIELDS,
     AllowCollide,
     AllowOutside,
     And,
@@ -38,8 +39,9 @@ from sthl.dsl.nodes import (
     Statement,
     StringLit,
     Vec3,
-    expr_idents,
-    referenced_idents,
+    chain,
+    idents,
+    rebuild,
 )
 from sthl.dsl.printer import print_assertion
 from sthl.dsl.typecheck import TypedProgram
@@ -159,19 +161,19 @@ def infer_region_assignments(typed: TypedProgram) -> dict[str, str]:
     for stmt in typed.program.statements:
         if not isinstance(stmt, Assert):
             continue
-        for pred in _inside_preds(stmt.condition):
-            assignments.setdefault(pred.inner, pred.outer)
+        # The `inside` atoms under `&&` and `||`, left to right: the left
+        # operand is pushed last so it pops first.
+        stack = [stmt.condition]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, InsidePred):
+                assignments.setdefault(node.inner, node.outer)
+            elif isinstance(node, (And, Or)):
+                stack += (node.right, node.left)
+            # A negated inside() must not pin the region assignment.
     for obj in typed.objects():
         assignments.setdefault(obj, regions[0])
     return assignments
-
-
-def _inside_preds(node: Assertion) -> list[InsidePred]:
-    if isinstance(node, InsidePred):
-        return [node]
-    if isinstance(node, (And, Or)):
-        return _inside_preds(node.left) + _inside_preds(node.right)
-    return []  # also for Not: a negated inside() must not pin the region assignment
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +268,10 @@ def _involved(assertion: CompiledAssertion, bindings: dict[str, Expr]) -> set[st
         return {assertion.first, assertion.second}
     if isinstance(assertion, Supported):
         return {assertion.name}
-    names = referenced_idents(assertion)
+    names = idents(assertion)
     pending = [name for name in names if name in bindings]
     while pending:
-        for ident in expr_idents(bindings[pending.pop()]):
+        for ident in idents(bindings[pending.pop()]):
             if ident not in names:
                 names.add(ident)
                 if ident in bindings:
@@ -303,46 +305,22 @@ def _freeze(statements: tuple[Statement, ...], seed: int) -> tuple[Statement, ..
     frozen: list[Statement] = []
     for stmt in statements:
         if isinstance(stmt, Assign):
-            stmt = replace(stmt, value=_freeze_expr(stmt.value, env, rng, substitute=True))
+            stmt = rebuild(stmt, [_freeze_node(stmt.value, env, rng, substitute=True)])
             if stmt.prop is None:
                 env[stmt.target] = stmt.value
         elif isinstance(stmt, Assert):
-            stmt = replace(stmt, condition=_freeze_assertion(stmt.condition, env, rng))
+            stmt = rebuild(stmt, [_freeze_node(stmt.condition, env, rng)])
         frozen.append(stmt)
     return tuple(frozen)
 
 
-def _freeze_assertion(node: Assertion, env: dict[str, Expr], rng: random.Random) -> Assertion:
-    if isinstance(node, Compare):
-        return Compare(
-            node.op,
-            _freeze_expr(node.left, env, rng),
-            _freeze_expr(node.right, env, rng),
-            span=node.span,
-        )
-    if isinstance(node, And):
-        return And(
-            _freeze_assertion(node.left, env, rng),
-            _freeze_assertion(node.right, env, rng),
-            span=node.span,
-        )
-    if isinstance(node, Or):
-        return Or(
-            _freeze_assertion(node.left, env, rng),
-            _freeze_assertion(node.right, env, rng),
-            span=node.span,
-        )
-    if isinstance(node, Not):
-        return Not(_freeze_assertion(node.operand, env, rng), span=node.span)
-    return node  # InsidePred
-
-
-def _freeze_expr(
-    node: Expr, env: dict[str, Expr], rng: random.Random, substitute: bool = False
-) -> Expr:
-    if isinstance(node, Rand):
-        low = _freeze_expr(node.low, env, rng, substitute)
-        high = _freeze_expr(node.high, env, rng, substitute)
+def _freeze_node(node, env: dict[str, Expr], rng: random.Random, substitute: bool = False):
+    """An expression or assertion with every `rand` drawn, left to right,
+    and, under `substitute`, every variable replaced by its binding in `env`."""
+    kind = type(node)
+    if kind is Rand:
+        low = _freeze_node(node.low, env, rng, substitute)
+        high = _freeze_node(node.high, env, rng, substitute)
         if isinstance(low, NumberLit) and isinstance(high, NumberLit):
             return NumberLit(rng.uniform(low.value, high.value), span=node.span)
         # Bounds depending on layout properties cannot be frozen; sample the
@@ -354,36 +332,20 @@ def _freeze_expr(
             Arith("*", NumberLit(u), Arith("-", high, low)),
             span=node.span,
         )
-    if isinstance(node, Name) and substitute:
-        return env.get(node.ident, node)
-    if isinstance(node, Arith):
-        return Arith(
-            node.op,
-            _freeze_expr(node.left, env, rng, substitute),
-            _freeze_expr(node.right, env, rng, substitute),
-            span=node.span,
-        )
-    if isinstance(node, Vec3):
-        return Vec3(
-            _freeze_expr(node.x, env, rng, substitute),
-            _freeze_expr(node.y, env, rng, substitute),
-            _freeze_expr(node.z, env, rng, substitute),
-            span=node.span,
-        )
-    if isinstance(node, Rot):
-        return Rot(
-            _freeze_expr(node.rx, env, rng, substitute),
-            _freeze_expr(node.rz, env, rng, substitute),
-            _freeze_expr(node.ry, env, rng, substitute),
-            span=node.span,
-        )
-    if isinstance(node, Dot):
-        return Dot(
-            _freeze_expr(node.left, env, rng, substitute),
-            _freeze_expr(node.right, env, rng, substitute),
-            span=node.span,
-        )
-    return node
+    if kind is Name:
+        return env.get(node.ident, node) if substitute else node
+    if kind is Arith or kind is And or kind is Or:
+        foot, links = chain(node)
+        out = _freeze_node(foot, env, rng, substitute)
+        for link in links:
+            out = rebuild(link, (out, _freeze_node(link.right, env, rng, substitute)))
+        return out
+    fields = CHILD_FIELDS.get(kind)
+    if fields is None:
+        return node
+    return rebuild(
+        node, [_freeze_node(getattr(node, f), env, rng, substitute) for f in fields]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +383,17 @@ def _eval_assertion(node: CompiledAssertion, ctx: EvalContext) -> bool:
         except KeyError:
             raise EvalError(f"region {node.outer!r} missing from layout") from None
         return scene.inside(_object(ctx.layout, node.inner), region)
-    if isinstance(node, And):
-        return _eval_assertion(node.left, ctx) and _eval_assertion(node.right, ctx)
-    if isinstance(node, Or):
-        return _eval_assertion(node.left, ctx) or _eval_assertion(node.right, ctx)
+    if isinstance(node, (And, Or)):
+        foot, links = chain(node)
+        value = _eval_assertion(foot, ctx)
+        # A chain of one operator is decided by the first false operand of
+        # `&&` or the first true one of `||`; later operands are not read.
+        undecided = isinstance(node, And)
+        for link in links:
+            if bool(value) is not undecided:
+                break
+            value = _eval_assertion(link.right, ctx)
+        return value
     if isinstance(node, Not):
         return not _eval_assertion(node.operand, ctx)
     assert isinstance(node, Compare)
@@ -472,28 +441,11 @@ def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset(
     if isinstance(node, PropRef):
         return _eval_propref(node, ctx)
     if isinstance(node, Arith):
-        left = _eval_expr(node.left, ctx, _stack)
-        right = _eval_expr(node.right, ctx, _stack)
-        if isinstance(left, tuple) and isinstance(right, tuple) and node.op in ("+", "-"):
-            if len(left) != len(right):
-                raise EvalError("vector arithmetic on mismatched lengths")
-            if node.op == "+":
-                return tuple(a + b for a, b in zip(left, right))
-            return tuple(a - b for a, b in zip(left, right))
-        if not isinstance(left, float) or not isinstance(right, float):
-            raise EvalError(f"arithmetic {node.op!r} on non-numbers")
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            # IEEE-style result keeps the solver alive on degenerate layouts.
-            if left == 0.0:
-                return float("nan")
-            return float("inf") if left > 0 else float("-inf")
-        return left / right
+        foot, links = chain(node)
+        value = _eval_expr(foot, ctx, _stack)
+        for link in links:
+            value = _arith(link.op, value, _eval_expr(link.right, ctx, _stack))
+        return value
     if isinstance(node, Vec3):
         return tuple(_eval_number(part, ctx, _stack) for part in (node.x, node.y, node.z))
     if isinstance(node, Rot):
@@ -504,6 +456,29 @@ def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset(
     if not (isinstance(left, tuple) and isinstance(right, tuple) and len(left) == len(right) == 3):
         raise EvalError("dot requires two Vector3 values")
     return sum(a * b for a, b in zip(left, right))
+
+
+def _arith(op: str, left: Value, right: Value) -> Value:
+    if isinstance(left, tuple) and isinstance(right, tuple) and op in ("+", "-"):
+        if len(left) != len(right):
+            raise EvalError("vector arithmetic on mismatched lengths")
+        if op == "+":
+            return tuple(a + b for a, b in zip(left, right))
+        return tuple(a - b for a, b in zip(left, right))
+    if not isinstance(left, float) or not isinstance(right, float):
+        raise EvalError(f"arithmetic {op!r} on non-numbers")
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0.0:
+        # IEEE-style result keeps the solver alive on degenerate layouts.
+        if left == 0.0:
+            return float("nan")
+        return float("inf") if left > 0 else float("-inf")
+    return left / right
 
 
 def _eval_number(node: Expr, ctx: EvalContext, _stack: frozenset[str]) -> float:

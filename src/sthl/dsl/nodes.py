@@ -5,12 +5,17 @@ that a program compares structurally equal to its re-parsed canonical
 print. A span is a (line, column) named tuple, cheap to build once per
 node. Rotation triples are written and stored in application order
 (x, z, y) throughout the toolchain.
+
+Walkers loop over a left-deep run of one operator (`chain`) and recurse
+only into other children (`CHILD_FIELDS`), so the depth of a walk over a
+parsed program grows with its nesting of parentheses, calls and `!`,
+which the parser caps at `MAX_NESTING`, not with the length of a run.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Union
 
 
@@ -218,54 +223,60 @@ class Program:
     notes: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
-def expr_children(node: Expr) -> tuple[Expr, ...]:
-    """Direct sub-expressions of an expression node."""
-    if isinstance(node, Arith):
-        return (node.left, node.right)
-    if isinstance(node, Rand):
-        return (node.low, node.high)
-    if isinstance(node, Vec3):
-        return (node.x, node.y, node.z)
-    if isinstance(node, Rot):
-        return (node.rx, node.rz, node.ry)
-    if isinstance(node, Dot):
-        return (node.left, node.right)
-    return ()
+#: Child fields of each node type that has children, left to right.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Assert: ("condition",),
+    Assign: ("value",),
+    Arith: ("left", "right"),
+    Rand: ("low", "high"),
+    Vec3: ("x", "y", "z"),
+    Rot: ("rx", "rz", "ry"),
+    Dot: ("left", "right"),
+    Compare: ("left", "right"),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Not: ("operand",),
+}
 
 
-def assertion_exprs(node: Assertion) -> tuple[Expr, ...]:
-    """All expression trees hanging off an assertion tree."""
-    if isinstance(node, Compare):
-        return (node.left, node.right)
-    if isinstance(node, (And, Or)):
-        return assertion_exprs(node.left) + assertion_exprs(node.right)
-    if isinstance(node, Not):
-        return assertion_exprs(node.operand)
-    return ()
+def chain(node: Arith | And | Or) -> tuple[Expr | Assertion, list]:
+    """The left-deep chain of `type(node)` that `node` tops: its foot operand
+    and its links, bottom first. `a - b + c` gives `a` and the `-` and `+`
+    nodes, so a caller walks every operand left to right in one loop,
+    reading each link's `right`."""
+    kind = type(node)
+    links = []
+    while type(node) is kind:
+        links.append(node)
+        node = node.left  # type: ignore[union-attr]
+    links.reverse()
+    return node, links
 
 
-def referenced_idents(node: Assertion) -> set[str]:
-    """All identifiers appearing in an assertion (objects, regions, vars)."""
-    idents: set[str] = set()
-    if isinstance(node, InsidePred):
-        idents.update((node.inner, node.outer))
-        return idents
-    if isinstance(node, (And, Or)):
-        return referenced_idents(node.left) | referenced_idents(node.right)
-    if isinstance(node, Not):
-        return referenced_idents(node.operand)
-    for expr in assertion_exprs(node):
-        idents |= expr_idents(expr)
-    return idents
+def rebuild(node, children):
+    """`node` with its `CHILD_FIELDS` set to `children`, in order; `node`
+    itself when every child is the one it already holds."""
+    fields = CHILD_FIELDS[type(node)]
+    for name, child in zip(fields, children):
+        if getattr(node, name) is not child:
+            return replace(node, **dict(zip(fields, children)))
+    return node
 
 
-def expr_idents(expr: Expr) -> set[str]:
-    """All identifiers appearing in an expression (objects, regions, vars)."""
-    if isinstance(expr, Name):
-        return {expr.ident}
-    if isinstance(expr, PropRef):
-        return {expr.obj}
+def idents(node: Expr | Assertion) -> set[str]:
+    """Every identifier an expression or assertion names: objects, regions
+    and variables."""
     out: set[str] = set()
-    for child in expr_children(expr):
-        out |= expr_idents(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Name:
+            out.add(node.ident)  # type: ignore[union-attr]
+        elif kind is PropRef:
+            out.add(node.obj)  # type: ignore[union-attr]
+        elif kind is InsidePred:
+            out.update((node.inner, node.outer))  # type: ignore[union-attr]
+        else:
+            stack.extend(getattr(node, f) for f in CHILD_FIELDS.get(kind, ()))
     return out

@@ -35,6 +35,7 @@ from sthl.dsl.nodes import (
     StringLit,
     ValueType,
     Vec3,
+    chain,
 )
 from sthl.errors import TypeCheckError
 
@@ -128,8 +129,10 @@ class _Checker:
 
     def check_assertion(self, node: Assertion) -> None:
         if isinstance(node, (And, Or)):
-            self.check_assertion(node.left)
-            self.check_assertion(node.right)
+            foot, links = chain(node)
+            self.check_assertion(foot)
+            for link in links:
+                self.check_assertion(link.right)
         elif isinstance(node, Not):
             self.check_assertion(node.operand)
         elif isinstance(node, InsidePred):
@@ -225,24 +228,21 @@ class _Checker:
         if isinstance(node, PropRef):
             return self._infer_propref(node)
         if isinstance(node, Arith):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
-            if (
-                node.op in ("+", "-")
-                and left is ValueType.VECTOR3
-                and right is ValueType.VECTOR3
-            ):
-                return ValueType.VECTOR3  # componentwise, e.g. dot(a.pos - b.pos, ...)
-            if left not in _NUMERIC or right not in _NUMERIC:
-                raise _err(
-                    f"arithmetic {node.op!r} requires numbers, found "
-                    f"{left.value} and {right.value}",
-                    node.span,
-                    self.filename,
-                )
-            if ValueType.DEGREE in (left, right):
-                return ValueType.DEGREE
-            return ValueType.NUMBER
+            foot, links = chain(node)
+            left = self.infer(foot)
+            for link in links:
+                right = self.infer(link.right)
+                if link.op in ("+", "-") and left is right is ValueType.VECTOR3:
+                    continue  # componentwise, e.g. dot(a.pos - b.pos, ...)
+                if left not in _NUMERIC or right not in _NUMERIC:
+                    raise _err(
+                        f"arithmetic {link.op!r} requires numbers, found "
+                        f"{left.value} and {right.value}",
+                        link.span,
+                        self.filename,
+                    )
+                left = ValueType.DEGREE if ValueType.DEGREE in (left, right) else ValueType.NUMBER
+            return left
         if isinstance(node, Rand):
             low = self.infer(node.low)
             high = self.infer(node.high)

@@ -15,6 +15,7 @@ load it.
 
 from __future__ import annotations
 
+import math
 import re
 import zlib
 from dataclasses import dataclass
@@ -303,9 +304,12 @@ class TsvEmbedder:
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected `text<TAB>v1,v2,...`")
             try:
-                vec = np.array([float(x) for x in parts[1].split(",")])
+                components = [float(x) for x in parts[1].split(",")]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad vector component: {exc}") from None
+            if not all(map(math.isfinite, components)):
+                raise FormatError(f"{path}:{lineno}: vector components must be finite")
+            vec = np.array(components)
             if expected_dim is None:
                 expected_dim = vec.size
             elif vec.size != expected_dim:

@@ -11,6 +11,7 @@ slot.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
@@ -377,7 +378,10 @@ def local_search_batch_solve(
 
 
 def _distance(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2) ** 0.5
+    try:
+        return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2) ** 0.5
+    except OverflowError:  # `** 2` of a difference beyond about 1.3e154
+        return math.inf
 
 
 def _rest_height(

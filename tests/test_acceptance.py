@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -556,6 +557,7 @@ def test_criterion_11_pipeline_byte_identical(tmp_path):
             capture_output=True,
             text=True,
             cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert result.returncode == 0, result.stderr
         outputs.append((out / "scene.json").read_bytes())

@@ -50,15 +50,15 @@ def test_fmt_prints_canonical_text(capsys):
     assert out.splitlines()[0] == "region room;"
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "Number w;\nw <- " + " + ".join(["a.pos.x"] * 5000) + ";\n",
-        "assert " + " && ".join(f"a.pos.x > {i}" for i in range(5000)) + ";\n",
-        "assert " + " || ".join(["a.pos.y - 1 - 2 < 3"] * 2500) + ";\n",
-    ],
-    ids=["sum", "and", "or"],
-)
+_OR_CHAIN = " || ".join(["a.pos.y - 1 - 2 < 3"] * 2500)
+LONG_CHAINS = {
+    "sum": "Number w;\nw <- " + " + ".join(["a.pos.x"] * 5000) + ";\n",
+    "and": "assert " + " && ".join(f"a.pos.x > {i}" for i in range(5000)) + ";\n",
+    "or": f"assert {_OR_CHAIN};\n",
+}
+
+
+@pytest.mark.parametrize("body", LONG_CHAINS.values(), ids=LONG_CHAINS.keys())
 def test_fmt_and_json_ast_handle_long_flat_chains(tmp_path, capsys, body):
     # A 5,000-term left-deep chain parses in a loop and prints in a loop;
     # nesting it 5,000 deep would exceed the interpreter's recursion limit.
@@ -72,6 +72,27 @@ def test_fmt_and_json_ast_handle_long_flat_chains(tmp_path, capsys, body):
     assert run(["parse", str(path), "--json-ast"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[-1]["stmt"] in ("assign", "assert")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        *LONG_CHAINS.values(),
+        "assert " + " && ".join(["inside(a, r)"] * 5000) + ";\n",
+        # A false operand before each of 100 nested parentheses, so that
+        # evaluation descends all of them to the chain inside.
+        "assert " + "a.pos.x < -1 || (" * 100 + _OR_CHAIN + ")" * 100 + ";\n",
+    ],
+    ids=[*LONG_CHAINS, "inside", "nested"],
+)
+def test_commands_handle_long_flat_chains(tmp_path, capsys, body):
+    # Type checking, freezing, compiling, solving and evaluating loop over
+    # a chain of one operator, so its length costs no Python frames.
+    path = tmp_path / "chain.sthl"
+    path.write_text("region r;\nobject a;\n" + body)
+    assert run(["check", str(path)]) == 0
+    assert run(["pipeline", str(path), "--T", "1", "--out", str(tmp_path / "pkg")]) == 0
+    assert run(["eval", "--gen", str(path), "--gt", str(path)]) == 0
 
 
 def test_check_reports_counts(capsys):
@@ -583,6 +604,14 @@ def test_out_of_range_number_literal_is_a_located_error(tmp_path, capsys, argv):
     assert not (tmp_path / "pkg").exists() and not (tmp_path / "s.json").exists()
 
 
+def test_repairing_a_far_placed_object_is_total(tmp_path, capsys):
+    # Squaring a move of 1e300 m overflows; such a move counts as infinitely long.
+    path = tmp_path / "far.sthl"
+    path.write_text("region r;\nobject a;\na.pos <- vec3(1" + "0" * 300 + ", 0, 0);\n")
+    assert run(["pipeline", str(path), "--T", "2", "--out", str(tmp_path / "pkg")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_export_of_an_edited_solve_output_reports_the_edited_layout(tmp_path, capsys):
     # Lift the lamp of the living room off the floor in the best iteration:
     # its support constraint flips, and the exported report must show the
@@ -743,3 +772,12 @@ def test_unreadable_inputs_are_errors_naming_the_file(tmp_path, capsys, argv, ki
     else:
         assert err == f"error: {bad}: not UTF-8 text: byte 0xff at offset 13: invalid start byte\n"
     assert not (tmp_path / "pkg").exists()
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+def test_non_finite_embedding_is_a_located_error(tmp_path, capsys, component):
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text(f"lamp\t0,1,0\nchair\t{component},1,0\n", encoding="utf-8")
+    argv = ["eval", "--gen", BEDROOM, "--gt", BEDROOM, "--embeddings", str(vectors)]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {vectors}:2: vector components must be finite\n")
