@@ -1,5 +1,6 @@
 """Command-line entry point: parse, fmt, check, solve, assets, export,
-eval, and the full pipeline.
+eval, and the full pipeline, which runs the stages of check, assets, solve
+and export in one process.
 
 Exit codes: 0 success, 1 domain error (parse/type/placement/format), 2
 usage error. Diagnostics go to stderr; artifacts go to files. Every
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from sthl import assets as assets_mod
@@ -33,9 +33,10 @@ from sthl.dsl.nodes import (
 from sthl.dsl.printer import print_assertion, print_expr
 from sthl.errors import SthlError, read_text
 from sthl.scene import WALL_THICKNESS
-from sthl.solver import SolverConfig, render_report, solve
+from sthl.solver import SolveReport, SolverConfig, render_report, solve
 
 DEFAULT_SOLVE_OUT = "solve.json"
+DEFAULT_WEIGHTS = (assets_mod.DEFAULT_VISUAL_WEIGHT, assets_mod.DEFAULT_SEMANTIC_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -68,28 +69,8 @@ def ast_document(program: Program) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Shared pipeline pieces
-
-
-@dataclass
-class PipelineConfig:
-    seed: int = 0
-    batch_size: int = 3
-    max_iterations: int = 5
-    tau: float = assets_mod.DEFAULT_TAU
-    visual_weight: float = assets_mod.DEFAULT_VISUAL_WEIGHT
-    semantic_weight: float = assets_mod.DEFAULT_SEMANTIC_WEIGHT
-    wall_thickness: float = WALL_THICKNESS
-    db_path: str | None = None
-    out_dir: str = "scene_package"
-    keep_intermediates: bool = False
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(
-            batch_size=self.batch_size,
-            max_iterations=self.max_iterations,
-            rng_seed=self.seed,
-        )
+# Shared stages: each command runs the ones it needs, and `pipeline` runs
+# the stages of `check`, `assets`, `solve` and `export` in memory.
 
 
 def _load(
@@ -103,39 +84,68 @@ def _load(
     return program, typed, built
 
 
-def _load_database(db_path: str | None) -> list[assets_mod.AssetCandidate]:
-    if db_path is None:
-        return []
-    return assets_mod.AssetDatabase.load(db_path).entries
+def _compile(
+    args: argparse.Namespace, eta: float = WALL_THICKNESS
+) -> tuple[Program, BuiltScene, constraints_mod.ConstraintSet]:
+    """The front end, then the program's constraints for `args.seed`."""
+    program, typed, built = _load(args.file, args.seed, eta)
+    return program, built, constraints_mod.compile_constraints(typed, seed=args.seed)
+
+
+def _solve(
+    args: argparse.Namespace, built: BuiltScene, cs: constraints_mod.ConstraintSet
+) -> tuple[SolveReport, SolverConfig]:
+    cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
+    return solve(built.objects, built.regions, cs, cfg), cfg
 
 
 def _asset_decisions(
-    built: BuiltScene, cfg: PipelineConfig
+    built: BuiltScene, db_path: str | None, tau: float, weights=DEFAULT_WEIGHTS
 ) -> dict[str, assets_mod.AssetDecision]:
-    database = _load_database(cfg.db_path)
+    database = [] if db_path is None else assets_mod.AssetDatabase.load(db_path).entries
     decisions = assets_mod.decide_all(
-        built.entities(),
-        database,
-        tau=cfg.tau,
-        weights=(cfg.visual_weight, cfg.semantic_weight),
-        provider=assets_mod.HashProvider(),
-        generator=assets_mod.StubGenerator(),
+        built.entities(), database, tau=tau, weights=weights,
+        provider=assets_mod.HashProvider(), generator=assets_mod.StubGenerator(),
     )
     return {obj.id: decision for obj, decision in zip(built.objects, decisions)}
 
 
-def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
-    """Run parse -> check -> compile -> assets -> solve -> export.
+def _decisions_tsv(decisions: dict[str, assets_mod.AssetDecision]) -> str:
+    """`decisions.tsv`: object id, query, verdict, score and model uri."""
+    rows = [
+        "\t".join((obj_id, d.query.text, d.verdict, repr(d.best_score), d.model.uri))
+        for obj_id, d in decisions.items()
+    ]
+    return "\n".join(rows) + ("\n" if rows else "")
 
-    With `keep_intermediates`, each stage's artifact lands in the output
-    directory: constraints.txt, decisions.tsv, solve.json, and
-    per-iteration layout snapshots.
+
+def _export(
+    out_dir: str | Path, program: Program, cs: constraints_mod.ConstraintSet,
+    report: SolveReport, cfg: SolverConfig, decisions: dict[str, assets_mod.AssetDecision],
+) -> export_mod.ScenePackage:
+    # Database indexes carry no mesh geometry; assume unit native extents
+    # for retrieved assets so export stays total.
+    pkg = export_mod.assemble(
+        report.best_layout, decisions, cs, report, program, cfg,
+        default_native_extents=(1.0, 1.0, 1.0),
+    )
+    export_mod.write_package(pkg, out_dir)
+    return pkg
+
+
+def pipeline(args: argparse.Namespace) -> export_mod.ScenePackage:
+    """Run the stages of `check`, `assets`, `solve` and `export` on
+    `args.file` and write the package to `args.out`.
+
+    With `--keep-intermediates`, each stage's artifact lands in the output
+    directory as it is made: constraints.txt, decisions.tsv (as `sthl
+    assets --out` writes it), solve.json (as `sthl solve --out` writes
+    it) and per-iteration layout snapshots.
     """
-    program, typed, built = _load(path, cfg.seed, cfg.wall_thickness)
-    cs = constraints_mod.compile_constraints(typed, seed=cfg.seed)
-    out_dir = Path(cfg.out_dir)
-
-    if cfg.keep_intermediates:
+    program, built, cs = _compile(args, args.eta)
+    out_dir = Path(args.out)
+    keep = args.keep_intermediates
+    if keep:
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = [
             f"{c.id} {c.provenance} {constraints_mod.print_compiled_assertion(c.assertion)}"
@@ -143,34 +153,21 @@ def pipeline(path: str | Path, cfg: PipelineConfig) -> export_mod.ScenePackage:
         ]
         (out_dir / "constraints.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    decisions = _asset_decisions(built, cfg)
-    if cfg.keep_intermediates:
-        rows = [
-            "\t".join((obj_id, d.verdict, repr(d.best_score), d.model.uri))
-            for obj_id, d in decisions.items()
-        ]
-        (out_dir / "decisions.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    decisions = _asset_decisions(built, args.db, args.tau)
+    if keep:
+        (out_dir / "decisions.tsv").write_text(_decisions_tsv(decisions), encoding="utf-8")
 
-    solver_cfg = cfg.solver()
-    report = solve(built.objects, built.regions, cs, solver_cfg)
-    if cfg.keep_intermediates:
+    report, cfg = _solve(args, built, cs)
+    if keep:
         export_mod.write_json(
-            out_dir / "solve.json",
-            export_mod.solve_output_document(program, built, report, solver_cfg),
+            out_dir / DEFAULT_SOLVE_OUT,
+            export_mod.solve_output_document(program, built, report, cfg),
         )
         for rec in report.iterations:
             export_mod.write_json(
                 out_dir / f"layout_iter{rec.index}.json", export_mod.layout_transforms(rec.layout)
             )
-
-    # Database indexes carry no mesh geometry; assume unit native extents
-    # for retrieved assets so the pipeline stays total.
-    pkg = export_mod.assemble(
-        report.best_layout, decisions, cs, report, program, solver_cfg,
-        default_native_extents=(1.0, 1.0, 1.0),
-    )
-    export_mod.write_package(pkg, out_dir)
-    return pkg
+    return _export(out_dir, program, cs, report, cfg, decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +191,11 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _, typed, _ = _load(args.file, args.seed)
-    cs = constraints_mod.compile_constraints(typed, seed=args.seed)
+    _, built, cs = _compile(args)
     explicit = sum(1 for c in cs.constraints if c.provenance == "explicit")
     hidden = len(cs.constraints) - explicit
     print(
-        f"{args.file}: {len(typed.objects())} objects, {len(typed.regions())} regions, "
+        f"{args.file}: {len(built.objects)} objects, {len(built.regions)} regions, "
         f"{explicit} explicit + {hidden} hidden constraints",
         file=sys.stderr,
     )
@@ -207,10 +203,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    program, typed, built = _load(args.file, args.seed)
-    cs = constraints_mod.compile_constraints(typed, seed=args.seed)
-    cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
-    report = solve(built.objects, built.regions, cs, cfg)
+    program, built, cs = _compile(args)
+    report, cfg = _solve(args, built, cs)
     out = Path(args.out)
     export_mod.write_json(out, export_mod.solve_output_document(program, built, report, cfg))
     if args.report:
@@ -225,21 +219,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_assets(args: argparse.Namespace) -> int:
     _, _, built = _load(args.file, args.seed)
-    cfg = PipelineConfig(
-        seed=args.seed,
-        tau=args.tau,
-        visual_weight=args.lambda_v,
-        semantic_weight=args.lambda_t,
-        db_path=args.db,
-    )
-    decisions = _asset_decisions(built, cfg)
-    rows = [
-        "\t".join(
-            (obj_id, d.query.text, d.verdict, repr(d.best_score), d.model.uri)
-        )
-        for obj_id, d in decisions.items()
-    ]
-    text = "\n".join(rows) + ("\n" if rows else "")
+    decisions = _asset_decisions(built, args.db, args.tau, (args.lambda_v, args.lambda_t))
+    text = _decisions_tsv(decisions)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -248,20 +229,12 @@ def _cmd_assets(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    program, built, report, solver_cfg = export_mod.load_solve_output(Path(args.solve_output))
-    typed = typecheck(program)
-    cs = constraints_mod.compile_constraints(typed, seed=solver_cfg.rng_seed)
-    cfg = PipelineConfig(seed=solver_cfg.rng_seed, tau=args.tau, db_path=args.db)
-    report.best_layout.connections = list(built.connections)
+    program, built, report, cfg = export_mod.load_solve_output(Path(args.solve_output))
+    cs = constraints_mod.compile_constraints(typecheck(program), seed=cfg.rng_seed)
     # The file may have been edited since `sthl solve` wrote it, so the
     # verdict table comes from the layout it holds, not its `unsatisfied`.
     report.verdicts = cs.verdicts(report.best_layout)
-    decisions = _asset_decisions(built, cfg)
-    pkg = export_mod.assemble(
-        report.best_layout, decisions, cs, report, program, solver_cfg,
-        default_native_extents=(1.0, 1.0, 1.0),
-    )
-    export_mod.write_package(pkg, args.out)
+    _export(args.out, program, cs, report, cfg, _asset_decisions(built, args.db, args.tau))
     print(f"package written to {args.out}", file=sys.stderr)
     return 0
 
@@ -321,17 +294,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cfg = PipelineConfig(
-        seed=args.seed,
-        batch_size=args.k,
-        max_iterations=args.T,
-        tau=args.tau,
-        wall_thickness=args.eta,
-        db_path=args.db,
-        out_dir=args.out,
-        keep_intermediates=args.keep_intermediates,
-    )
-    pkg = pipeline(args.file, cfg)
+    pkg = pipeline(args)
     print(
         f"{args.file}: scene package with {len(pkg.objects)} objects -> {args.out}",
         file=sys.stderr,

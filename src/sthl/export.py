@@ -41,7 +41,7 @@ from sthl.constraints import (
     evaluate,
 )
 from sthl.dsl import Program, parse, print_program, typecheck
-from sthl.errors import AssetMismatch, FormatError, IoError, read_text
+from sthl.errors import AssetMismatch, DegenerateRegion, FormatError, IoError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
 from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
@@ -356,7 +356,8 @@ def _region_doc(region: Region) -> dict:
 
 
 def _read_region(doc: dict) -> Region:
-    return Region(
+    """A region as `build_scene` makes one: counterclockwise and simple."""
+    region = Region(
         id=_typed(doc["id"], str),
         vertices=tuple(_numbers(v, 2) for v in _typed(doc["vertices"], list)),
         floor_y=_number(doc["floorY"]),
@@ -365,6 +366,11 @@ def _read_region(doc: dict) -> Region:
         floor_texture=_typed(doc.get("floorTexture", ""), str),
         wall_texture=_typed(doc.get("wallTexture", ""), str),
     )
+    try:
+        region.validate()
+    except DegenerateRegion as exc:
+        raise ValueError(str(exc)) from None
+    return region
 
 
 def _connection_doc(c: Connection) -> dict:
@@ -486,8 +492,9 @@ def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, Sol
     """Read a file written by `sthl solve --out`.
 
     Invalid JSON, a missing key, a value of the wrong type or not finite, a
-    dimension that is not positive, an object in an unlisted region and an
-    out-of-range `k` or `T` are a FormatError naming the file. Only the
+    dimension that is not positive, a region polygon that is clockwise or
+    self-intersecting, an object in an unlisted region and an out-of-range
+    `k` or `T` are a FormatError naming the file. Only the
     `config` keys that are `SolverConfig` fields are read, so files holding
     more keys still load.
     """
@@ -512,7 +519,7 @@ def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, Sol
         ]
         _check_regions(objects, regions)
         connections = [_read_connection(c) for c in scene.get("connections", [])]
-        built = BuiltScene(objects=objects, regions=regions)
+        built = BuiltScene(objects=objects, regions=regions, connections=connections)
         records = []
         for rec in doc["report"]["iterations"]:
             layout = SceneLayout(
@@ -671,8 +678,9 @@ def read_package(package_dir: str | Path) -> ScenePackage:
     """Reconstruct a ScenePackage from a directory written by write_package.
 
     A missing file, a missing key, a value of the wrong type, length or
-    sign, a number that is not finite, an object in an unlisted region and
-    scene and manifest objects that differ are a FormatError naming the
+    sign, a number that is not finite, a region polygon that is clockwise
+    or self-intersecting, an object in an unlisted region and scene and
+    manifest objects that differ are a FormatError naming the
     file (and manifest line); an unreadable or non-UTF-8 file is an
     IoError naming it.
     """

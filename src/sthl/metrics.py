@@ -48,6 +48,9 @@ class MatchScores:
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int) -> "MatchScores":
+        """Two empty sets match perfectly: nothing to match, nothing missed."""
+        if tp == fp == fn == 0:
+            return cls(1.0, 1.0, 1.0, 0, 0, 0)
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -36,6 +35,7 @@ from sthl.scene import Region, SceneLayout, SceneObject, Transform, collision_ma
 from sthl.solver import SolverConfig, solve
 
 from astgen import random_program
+from conftest import child_env
 from geom_oracles import corner_inside_oracle, grid_collides, grid_inside
 from naive_interp import eval_assertion
 from scenegen import generate_fixture
@@ -557,7 +557,7 @@ def test_criterion_11_pipeline_byte_identical(tmp_path):
             capture_output=True,
             text=True,
             cwd=ROOT,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         outputs.append((out / "scene.json").read_bytes())

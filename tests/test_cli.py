@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +15,9 @@ from sthl.cli import run
 from sthl.dsl.parser import MAX_NESTING
 from sthl.errors import SthlError
 from sthl.export import read_package, resolve_region
+
+from conftest import child_env
+from scenegen import generate_fixture
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 LIVINGROOM = str(FIXTURES / "livingroom.sthl")
@@ -173,15 +175,50 @@ def test_solve_output_config_holds_the_three_solver_values(tmp_path, capsys):
     assert config == {"batch_size": 2, "max_iterations": 4, "rng_seed": 7}
 
 
-@pytest.mark.parametrize("path", [LIVINGROOM, CONTRADICTION], ids=lambda p: Path(p).stem)
-def test_export_of_a_solve_output_equals_the_pipeline_package(tmp_path, capsys, path):
-    out = tmp_path / "solve.json"
-    assert run(["solve", path, "--seed", "7", "--out", str(out)]) == 0
-    assert run(["export", str(out), "--out", str(tmp_path / "exported")]) == 0
-    assert run(["pipeline", path, "--seed", "7", "--out", str(tmp_path / "piped")]) == 0
-    for name in ("scene.json", "manifest.tsv", "metadata.sthl", "report.txt"):
-        exported = (tmp_path / "exported" / name).read_bytes()
-        assert exported == (tmp_path / "piped" / name).read_bytes(), name
+# The three fixtures at seed 7, and twelve scenegen rooms (n = 6..16).
+STAGE_INPUTS = [*(("fixture", name, 7) for name in ("livingroom", "bedroom", "contradiction")),
+                *(("scenegen", 6 + seed % 11, seed) for seed in range(12))]
+
+
+@pytest.mark.parametrize("T", ["0", "5"], ids=lambda T: f"T{T}")
+@pytest.mark.parametrize("kind, name, seed", STAGE_INPUTS, ids=lambda v: str(v))
+def test_pipeline_is_solve_then_export(tmp_path, capsys, kind, name, seed, T):
+    if kind == "fixture":
+        path = str(FIXTURES / f"{name}.sthl")
+    else:
+        path = str(tmp_path / "scene.sthl")
+        Path(path).write_text(generate_fixture(seed, name).source, encoding="utf-8")
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    solved, decisions = tmp_path / "solve.json", tmp_path / "decisions.tsv"
+    assert run(["solve", path, "--seed", str(seed), "--T", T, "--out", str(solved)]) == 0
+    assert run(["export", str(solved), "--out", str(staged)]) == 0
+    assert run(["assets", path, "--seed", str(seed), "--out", str(decisions)]) == 0
+    argv = ["pipeline", path, "--seed", str(seed), "--T", T, "--out", str(piped)]
+    assert run([*argv, "--keep-intermediates"]) == 0
+    for file in ("scene.json", "manifest.tsv", "metadata.sthl", "report.txt"):
+        assert (piped / file).read_bytes() == (staged / file).read_bytes(), file
+    assert (piped / "solve.json").read_bytes() == solved.read_bytes()
+    assert (piped / "decisions.tsv").read_bytes() == decisions.read_bytes()
+
+
+def test_export_keeps_the_connections_of_a_solve_output(tmp_path, capsys):
+    source = tmp_path / "two.sthl"
+    source.write_text(
+        "region a;\nregion b;\nb.pos <- vec3(20, 0, 0);\nobject c;\nassert inside(c, a);\n",
+        encoding="utf-8",
+    )
+    solved = tmp_path / "solve.json"
+    assert run(["solve", str(source), "--T", "0", "--out", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    door = {"regionA": "a", "regionB": "b", "category": "door", "dimensions": [1, 2, 0.1]}
+    doc["scene"]["connections"] = [door]
+    solved.write_text(json.dumps(doc))
+    assert run(["export", str(solved), "--out", str(tmp_path / "pkg")]) == 0
+    scene = json.loads((tmp_path / "pkg" / "scene.json").read_text())
+    assert scene["connections"] == [{**door, "dimensions": [1.0, 2.0, 0.1]}]
+    (connection,) = read_package(tmp_path / "pkg").connections
+    assert (connection.region_a, connection.region_b) == ("a", "b")
+    assert connection.dimensions == (1.0, 2.0, 0.1)
 
 
 # The `config` of a solve output written when SolverConfig had nine fields.
@@ -246,6 +283,16 @@ BAD_SOLVE_OUTPUTS = {
     "short-vertex": (
         (("scene", "regions", 0, "vertices", 0), [0]),
         ": malformed solve output: expected a list of 2 numbers, not [0]",
+    ),
+    "clockwise-region": (
+        (("scene", "regions", 0, "vertices"), [[0, 0], [0, 4], [4, 4], [4, 0]]),
+        ": malformed solve output: region 'bedroom' polygon must be counterclockwise "
+        "with positive area",
+    ),
+    # Positive signed area (75), so it is the simplicity check that refuses it.
+    "self-intersecting-region": (
+        (("scene", "regions", 0, "vertices"), [[0, 0], [10, 0], [10, 10], [0, 10], [5, -5]]),
+        ": malformed solve output: region 'bedroom' polygon self-intersects",
     ),
 }
 
@@ -405,6 +452,15 @@ def test_eval_reports_resemblance(capsys):
     assert "overall: precision=1.0000" in err
 
 
+def test_eval_of_two_empty_constraint_sets_scores_one(tmp_path, capsys):
+    program = tmp_path / "empty.sthl"
+    program.write_text("region r;\nobject a;\n", encoding="utf-8")
+    assert run(["eval", "--gen", str(program), "--gt", str(program)]) == 0
+    err = capsys.readouterr().err
+    assert "layout: precision=1.0000 recall=1.0000 f1=1.0000 (tp=0 fp=0 fn=0)" in err
+    assert "overall: precision=1.0000 recall=1.0000 f1=1.0000 (tp=1 fp=0 fn=0)" in err
+
+
 def test_pipeline_end_to_end(tmp_path, capsys):
     out = tmp_path / "pkg"
     assert run(["pipeline", LIVINGROOM, "--seed", "9", "--out", str(out)]) == 0
@@ -486,7 +542,7 @@ def test_usage_error_leaves_the_next_run_unchanged(tmp_path, monkeypatch, capsys
     done = subprocess.run(
         [sys.executable, "-m", "sthl.cli", "pipeline", LIVINGROOM, "--out", str(alone)],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env=child_env(),
     )
     assert done.returncode == 0, done.stderr
     with pytest.raises(SystemExit) as exc:
@@ -652,6 +708,10 @@ def test_program_without_region(tmp_path, capsys):
     capsys.readouterr()
     assert run(["pipeline", str(path), "--out", str(tmp_path / "pkg")]) == 1
     assert capsys.readouterr().err == "error: object 'lamp' is in no region; the solver needs its region\n"
+    # The stages before the solve still leave their intermediates.
+    kept = tmp_path / "kept"
+    assert run(["pipeline", str(path), "--out", str(kept), "--keep-intermediates"]) == 1
+    assert sorted(p.name for p in kept.iterdir()) == ["constraints.txt", "decisions.tsv"]
 
 
 def test_solve_reports_rand_tautology_satisfied(tmp_path, capsys):

@@ -276,6 +276,13 @@ def _set_object(key, value):
     return edit
 
 
+def _set_region_vertices(vertices):
+    def edit(doc):
+        doc["regions"][0]["vertices"] = vertices
+        return doc
+    return edit
+
+
 def _set_manifest(field, text):
     def edit(rows):
         rows[0][field] = text
@@ -312,6 +319,15 @@ BAD_PACKAGES = {
     "unknown-region": (
         _set_object("region", "nowhere"),
         "scene.json: malformed scene document: object 'sofa' names unknown region 'nowhere'",
+    ),
+    "clockwise-region": (
+        _set_region_vertices([[0, 0], [0, 4], [4, 4], [4, 0]]),
+        "scene.json: malformed scene document: region 'room' polygon must be counterclockwise",
+    ),
+    # Positive signed area (75), so it is the simplicity check that refuses it.
+    "self-intersecting-region": (
+        _set_region_vertices([[0, 0], [10, 0], [10, 10], [0, 10], [5, -5]]),
+        "scene.json: malformed scene document: region 'room' polygon self-intersects",
     ),
     "short-extents": (
         _set_manifest(4, "1,1"),

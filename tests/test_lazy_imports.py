@@ -9,11 +9,11 @@ may already have imported both.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
+from conftest import child_env
 from test_golden_cli import ASSETS_RUNS, PROGRAM, write_index
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,9 +21,8 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def _fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(), cwd=cwd
     )
     assert done.returncode == 0, done.stderr
     return done
