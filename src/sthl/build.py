@@ -6,9 +6,10 @@ with floor height pos.y, footprint scale.x by scale.z, ceiling height
 scale.y, and optional yaw from rot (x and z rotations must be zero).
 Regions without geometry assignments default to a 10x3x10 room at the
 origin. A `pos`, `scale` or `rot` component that is not finite (`1 / 0`,
-`0 / 0`), a region rotation about x or z, an object scale component that
-is not positive, or a value that reads another object's placement is a
-`BuildError` at the assignment that states it.
+`0 / 0`), a region rotation about x or z, a region `scale.x` or `scale.z`
+that is not positive, an object scale component that is not positive, or
+a value that reads another object's placement is a `BuildError` at the
+assignment that states it.
 
 Objects get their world extents from their `scale` assignment (base
 dimensions stay 1x1x1), an optional initial position from `pos`, and
@@ -112,6 +113,9 @@ def build_scene(
         if any(s <= 0 for s in scale):  # type: ignore[attr-defined]
             raise error(name, "scale", "components must be positive", scale)
     for name, props in region_props.items():
+        scale = props.get("scale", DEFAULT_REGION_SIZE)
+        if scale[0] <= 0 or scale[2] <= 0:  # type: ignore[index]
+            raise error(name, "scale", "x and z of a region must be positive", scale)
         rot = props.get("rot", (0.0, 0.0, 0.0))
         if rot[0] != 0.0 or rot[1] != 0.0:  # type: ignore[index]
             raise error(name, "rot", "of a region must be a yaw only", rot)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from sthl.errors import DegenerateRegion
@@ -71,6 +71,10 @@ class SceneObject:
     #: True when the source program assigned an explicit position.
     preplaced: bool = False
 
+    # (transform, dimensions, box) of the last `world_box` built for this
+    # object; not a dataclass field, so equality and repr ignore it.
+    _box = None
+
     def extents(self) -> Vec:
         d, s = self.dimensions, self.transform.scale
         return (d[0] * s[0], d[1] * s[1], d[2] * s[2])
@@ -78,7 +82,8 @@ class SceneObject:
     def copy(self) -> "SceneObject":
         # A shallow copy is exact: `Transform` is frozen, and every other
         # field is a string, a tuple or a bool. It is several times faster
-        # than `dataclasses.replace`, which walks every field.
+        # than `dataclasses.replace`, which walks every field. The copy
+        # shares the cached box, which is keyed on what it was built from.
         clone = object.__new__(SceneObject)
         clone.__dict__.update(self.__dict__)
         return clone
@@ -99,6 +104,13 @@ class Region:
             raise ValueError(f"region {self.id!r} needs at least 3 vertices")
         if self.wall_thickness < 0:
             raise ValueError("wall thickness must be non-negative")
+        xs = [v[0] for v in self.vertices]
+        zs = [v[1] for v in self.vertices]
+        bounds = (min(xs), min(zs), max(xs), max(zs))
+        # Set once here and read by `bounds()` and `inside`; not fields, so
+        # equality, hashing and repr see only the declared ones.
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_rectangle", _is_rectangle(self.vertices, bounds))
 
     def validate(self) -> None:
         """Check the polygon is counterclockwise and non-self-intersecting."""
@@ -110,9 +122,22 @@ class Region:
             raise DegenerateRegion(f"region {self.id!r} polygon self-intersects")
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        zs = [v[1] for v in self.vertices]
-        return min(xs), min(zs), max(xs), max(zs)
+        """(min_x, min_z, max_x, max_z) of the floor polygon."""
+        return self._bounds  # type: ignore[attr-defined]
+
+
+def _is_rectangle(vertices: tuple[Point2, ...], bounds: tuple[float, ...]) -> bool:
+    """True iff the polygon runs around the four corners of `bounds`, each
+    edge along a world axis, with a finite, positive width and depth."""
+    min_x, min_z, max_x, max_z = bounds
+    width, depth = max_x - min_x, max_z - min_z
+    if len(vertices) != 4 or not (0 < width < math.inf and 0 < depth < math.inf):
+        return False
+    if set(vertices) != {(min_x, min_z), (max_x, min_z), (max_x, max_z), (min_x, max_z)}:
+        return False
+    # Four distinct corners joined by axis-parallel edges form the rectangle's
+    # own cycle, never a bowtie through its diagonals.
+    return all(a[0] == b[0] or a[1] == b[1] for a, b in zip(vertices, vertices[1:] + vertices[:1]))
 
 
 @dataclass(frozen=True)
@@ -152,35 +177,42 @@ class SceneLayout:
         )
 
 
-@dataclass(frozen=True)
 class OrientedBox:
-    center: Vec
-    axes: tuple[Vec, Vec, Vec]  # world directions of local x, y, z
-    half_extents: Vec
-    #: The 8 world-space corners in `corners()` order, computed once per box.
-    points: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
-    #: The distinct (x, z) floor-plane projections of the corners, in corner
-    #: order (4 for boxes turned about y only).
-    plan: tuple[Point2, ...] = field(init=False, repr=False, compare=False)
-    #: Axis-aligned bounds of the corners: (min_x, min_y, min_z, max_x, max_y, max_z).
-    bounds: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    """An object's box in world space.
 
-    def __post_init__(self) -> None:
+    `bounds`, the axis-aligned bounds of the corners as (min_x, min_y,
+    min_z, max_x, max_y, max_z), is computed with the box. The 8 corners
+    (`points`, in `corners()` order) and their distinct (x, z) floor-plane
+    projections (`plan`, in corner order; 4 for boxes turned about y only)
+    are computed on first read, from the same sums, so every read gives the
+    same bits.
+    """
+
+    def __init__(self, center: Vec, axes: tuple[Vec, Vec, Vec], half_extents: Vec) -> None:
+        self.center = center
+        self.axes = axes  # world directions of local x, y, z
+        self.half_extents = half_extents
         # Corner (s0, s1, s2), signs in {-1, 1} with s2 fastest, is
         # center + ((s0*h0*a + s1*h1*b) + s2*h2*c), summed in the order of
         # the numpy matrix product this replaced. A sign flip is exact, so
         # each coordinate needs only the four sums v1..v4 of _spread and
         # their negations.
-        h0, h1, h2 = self.half_extents
-        a, b, c = self.axes
-        m = self.center
-        xs = _spread(m[0], h0 * a[0], h1 * b[0], h2 * c[0])
-        ys = _spread(m[1], h0 * a[1], h1 * b[1], h2 * c[1])
-        zs = _spread(m[2], h0 * a[2], h1 * b[2], h2 * c[2])
-        object.__setattr__(self, "points", tuple(zip(xs, ys, zs)))
-        object.__setattr__(self, "plan", tuple(dict.fromkeys(zip(xs, zs))))
-        bounds = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
-        object.__setattr__(self, "bounds", bounds)
+        h0, h1, h2 = half_extents
+        a, b, c = axes
+        xs = _spread(center[0], h0 * a[0], h1 * b[0], h2 * c[0])
+        ys = _spread(center[1], h0 * a[1], h1 * b[1], h2 * c[1])
+        zs = _spread(center[2], h0 * a[2], h1 * b[2], h2 * c[2])
+        self._spreads = (xs, ys, zs)
+        self.bounds = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        return tuple(zip(*self._spreads))
+
+    @cached_property
+    def plan(self) -> tuple[Point2, ...]:
+        xs, _, zs = self._spreads
+        return tuple(dict.fromkeys(zip(xs, zs)))
 
     def corners(self) -> np.ndarray:
         """The 8 world-space corners, shape (8, 3)."""
@@ -205,6 +237,7 @@ def _spread(m: float, p: float, q: float, r: float) -> tuple[float, ...]:
 # Rotation
 
 
+@lru_cache(maxsize=1024)
 def _rotation_axes(rot: Vec) -> tuple[Vec, Vec, Vec]:
     """World directions of the local x, y and z axes for degrees (rx, rz, ry),
     applied x -> z -> y: the columns of Ry @ Rz @ Rx."""
@@ -226,9 +259,20 @@ def _oriented_box(dimensions: Vec, scale: Vec, rot: Vec, pos: Vec) -> OrientedBo
 
 
 def world_box(obj: SceneObject) -> OrientedBox:
-    """Oriented bounding box of an object in world space."""
+    """Oriented bounding box of an object in world space.
+
+    The object keeps the box it was last given, with the `transform` and
+    `dimensions` objects it was built from. Both are immutable, so while
+    neither attribute has been reassigned the kept box is exact; otherwise
+    a box is built (or found) by `_oriented_box`.
+    """
     t = obj.transform
-    return _oriented_box(obj.dimensions, t.scale, t.rot, t.pos)
+    kept = obj._box
+    if kept is not None and kept[0] is t and kept[1] is obj.dimensions:
+        return kept[2]
+    box = _oriented_box(obj.dimensions, t.scale, t.rot, t.pos)
+    obj._box = (t, obj.dimensions, box)
+    return box
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +535,24 @@ def footprint_overlap(a: SceneObject, b: SceneObject) -> float:
 
 
 def inside(obj: SceneObject, region: Region) -> bool:
-    """True iff all 8 box corners lie in the region's floor polygon and height band."""
+    """True iff all 8 box corners lie in the region's floor polygon and height band.
+
+    In a rectangular region, a box whose x and z bounds lie strictly inside
+    the rectangle is inside without the polygon walk. The accept is exact:
+    for such a corner every difference and product in `point_in_polygon`'s
+    winding test has an exact sign (the rectangle's width and depth are
+    finite), so the walk would count a winding of +1 or -1.
+    """
     box = world_box(obj)
-    lo = region.floor_y - _BOUNDARY_EPS
-    hi = region.floor_y + region.height + _BOUNDARY_EPS
-    if box.bounds[1] < lo or box.bounds[4] > hi:
+    min_x, min_y, min_z, max_x, max_y, max_z = box.bounds
+    if min_y < region.floor_y - _BOUNDARY_EPS:
         return False
+    if max_y > region.floor_y + region.height + _BOUNDARY_EPS:
+        return False
+    if region._rectangle:  # type: ignore[attr-defined]
+        r_min_x, r_min_z, r_max_x, r_max_z = region._bounds  # type: ignore[attr-defined]
+        if r_min_x < min_x and max_x < r_max_x and r_min_z < min_z and max_z < r_max_z:
+            return True
     return all(point_in_polygon(point, region.vertices) for point in box.plan)
 
 

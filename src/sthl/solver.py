@@ -146,8 +146,9 @@ def initial_placement(
     )
     placed: dict[int, SceneObject] = {}
     # Names a constraint may involve and still be scored for the object
-    # being placed: regions and the objects already in the layout.
-    known = {r.id for r in layout.regions}
+    # being placed: regions, variables and the objects already in the
+    # layout. A variable's own dependencies are among the involved names.
+    known = {r.id for r in layout.regions} | cs.bindings.keys()
 
     for index in order:
         obj = objects[index].copy()
@@ -336,7 +337,18 @@ def local_search_batch_solve(
     rng: random.Random | None = None,
 ) -> tuple[SceneLayout, set[str]]:
     """Greedy repair: move one batch object at a time, keeping only moves
-    that strictly raise the global satisfied count."""
+    that strictly raise the satisfied count of the constraints naming the
+    moved object.
+
+    The best move has the highest gain, then the smallest displacement,
+    then the earliest object and candidate. A candidate's displacement is
+    known before it is scored, and with it the least gain that still wins:
+    1 while there is no best move, the best gain if the candidate moves
+    less than the best move, and the best gain plus 1 otherwise. Scoring
+    stops once too many constraints have failed to reach that gain. A
+    candidate scored to the end therefore wins, with a complete outcome
+    table, and the move is the one a full scoring of every candidate picks.
+    """
     rng = rng or random.Random(cfg.rng_seed)
     layout = layout.copy()
     movable = _movable_ids(batch, layout)
@@ -350,23 +362,37 @@ def local_search_batch_solve(
     for _ in range(MOVES_PER_PROPOSAL):
         if all(results[c.id] for c in batch):
             break
-        best_key: tuple[float, float, int, int] | None = None
+        # Before a best move exists no displacement is smaller than its,
+        # so the least winning gain is 1.
+        best_gain = 0
+        best_displacement = -math.inf
         best_move: tuple[SceneObject, Transform, dict[int, bool]] | None = None
-        for obj_index, name in enumerate(movable):
+        for name in movable:
             obj = layout.object(name)
             original = obj.transform
             affected = cs.touching(name)
             before = sum(results[c.id] for c in affected)
-            for cand_index, candidate in enumerate(_candidates(obj, layout, rng)):
+            for candidate in _candidates(obj, layout, rng):
+                displacement = _distance(original.pos, candidate.pos)
+                need = best_gain if displacement < best_displacement else best_gain + 1
+                # Failures the candidate can afford and still gain `need`.
+                allowed = len(affected) - before - need
+                if allowed < 0:
+                    continue
                 obj.transform = candidate
-                outcome = {c.id: evaluate(c, ctx) for c in affected}
-                gain = sum(outcome.values()) - before
-                if gain > 0:
-                    displacement = _distance(original.pos, candidate.pos)
-                    key = (-gain, displacement, obj_index, cand_index)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_move = (obj, candidate, outcome)
+                outcome: dict[int, bool] = {}
+                failures = 0
+                for c in affected:
+                    ok = evaluate(c, ctx)
+                    outcome[c.id] = ok
+                    if not ok:
+                        failures += 1
+                        if failures > allowed:
+                            break
+                else:
+                    best_gain = len(affected) - failures - before
+                    best_displacement = displacement
+                    best_move = (obj, candidate, outcome)
             obj.transform = original
         if best_move is None:
             break

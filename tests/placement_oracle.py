@@ -41,8 +41,9 @@ def initial_placement(
     )
     placed: dict[int, SceneObject] = {}
     # Names a constraint may involve and still be scored for the object
-    # being placed: regions and the objects already in the layout.
-    known = {r.id for r in layout.regions}
+    # being placed: regions, variables and the objects already in the
+    # layout.
+    known = {r.id for r in layout.regions} | cs.bindings.keys()
 
     for index in order:
         obj = objects[index].copy()

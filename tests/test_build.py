@@ -55,6 +55,13 @@ def test_non_positive_object_scale_rejected_at_its_assignment(scale):
     assert (info.value.line, info.value.column) == (4, 1)
 
 
+@pytest.mark.parametrize("scale", ["vec3(0, 3, 5)", "vec3(4, 3, 0)", "vec3(-4, 3, -6)"])
+def test_non_positive_region_footprint_rejected_at_its_assignment(scale):
+    with pytest.raises(BuildError, match="r.scale x and z of a region must be positive") as info:
+        built(f"region r;\n  r.scale <- {scale};\nobject a;")
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
 def test_overridden_bad_values_are_not_errors():
     scene = built(
         "region room; room.rot <- rot(10, 0, 0); room.rot <- rot(0, 0, 90);\n"

@@ -12,12 +12,14 @@ from sthl.scene import (
     Region,
     SceneObject,
     Transform,
+    _oriented_box,
     bounds_apart,
     collides,
     collision_margin,
     distance_to_boundary,
     inside,
     minimum_translation,
+    point_in_polygon,
     world_box,
 )
 
@@ -170,6 +172,141 @@ def test_inside_matches_corner_oracle(region, pos, rot, scale):
     assert inside(obj, region) == corner_inside_oracle(obj, region)
 
 
+sizes = st.tuples(*[st.floats(0.05, 5.0) for _ in range(3)])
+positions = st.tuples(*[st.floats(-20.0, 20.0) for _ in range(3)])
+quarter_turns = st.integers(-8, 8).map(lambda k: (0.0, 0.0, 90.0 * k))
+any_rotation = st.tuples(*[st.floats(-720.0, 720.0) for _ in range(3)])
+
+
+def _rectangle(x0: float, z0: float, width: float, depth: float, yaw: float, clockwise: bool) -> Region:
+    """A width x depth room with one corner at (x0, z0), turned by `yaw`
+    degrees about that corner as `build_scene` turns a region."""
+    c, s = np.cos(np.radians(yaw)), np.sin(np.radians(yaw))
+    corners = [(0.0, 0.0), (width, 0.0), (width, depth), (0.0, depth)]
+    vertices = tuple((x0 + float(c * x + s * z), z0 + float(-s * x + c * z)) for x, z in corners)
+    return Region("rect", vertices[::-1] if clockwise else vertices)
+
+
+def _polygon_walk(obj: SceneObject, region: Region) -> bool:
+    """`inside` without its rectangle accept."""
+    box = world_box(obj)
+    if box.bounds[1] < region.floor_y - 1e-7 or box.bounds[4] > region.floor_y + region.height + 1e-7:
+        return False
+    return all(point_in_polygon(point, region.vertices) for point in box.plan)
+
+
+rectangles = st.builds(
+    _rectangle,
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+    st.floats(0.5, 8.0),
+    st.floats(0.5, 8.0),
+    st.one_of(st.just(0.0), angle),
+    st.booleans(),
+)
+# Offsets of a box's bounds from a region edge: touching, within and just
+# beyond the 1e-7 boundary tolerance, and straddling.
+edge_gaps = st.one_of(
+    st.sampled_from([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2e-7, -2e-7]), st.floats(-0.05, 0.05)
+)
+
+
+@given(
+    st.one_of(rectangles, st.sampled_from([HEX, L_ROOM])),
+    st.one_of(rotations, any_rotation),
+    st.tuples(*[st.floats(0.2, 1.5) for _ in range(3)]),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 4),
+    edge_gaps,
+    st.one_of(edge_gaps, st.floats(0.0, 1.5)),
+)
+@settings(max_examples=500, deadline=None)
+@example(_rectangle(0.0, 0.0, 4.0, 3.0, 0.0, False), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.5), 0, 0.0, 0.0)
+@example(_rectangle(0.0, 0.0, 4.0, 3.0, 0.0, False), (0.0, 0.0, 90.0), (1.0, 1.0, 2.0), (0.5, 0.5), 1, 0.0, 0.0)
+@example(_rectangle(0.0, 0.0, 4.0, 3.0, 0.0, True), (0.0, 0.0, 30.0), (1.0, 1.0, 1.0), (0.5, 0.5), 4, -1e-9, 0.0)
+def test_inside_equals_the_polygon_walk_and_the_corner_oracle(region, rot, scale, where, side, gap, lift):
+    # The box sits at a point of the region's bounds, or with its bounds
+    # `gap` inside one edge of them (side 1-4); its bottom is `lift` above
+    # the floor.
+    min_x, min_z, max_x, max_z = region.bounds()
+    probe = world_box(box_object("p", (0.0, 0.0, 0.0), rot, scale)).bounds
+    x = min_x + where[0] * (max_x - min_x)
+    z = min_z + where[1] * (max_z - min_z)
+    if side == 1:
+        x = min_x + gap - probe[0]
+    elif side == 2:
+        x = max_x - gap - probe[3]
+    elif side == 3:
+        z = min_z + gap - probe[2]
+    elif side == 4:
+        z = max_z - gap - probe[5]
+    obj = box_object("o", (x, region.floor_y + lift - probe[1], z), rot, scale)
+    assert inside(obj, region) == _polygon_walk(obj, region)
+
+    corners = world_box(obj).corners()
+    horizontal = min(
+        distance_to_boundary((float(x), float(z)), region.vertices) for x, z in corners[:, [0, 2]]
+    )
+    vertical = min(
+        abs(float(corners[:, 1].min()) - region.floor_y),
+        abs(region.floor_y + region.height - float(corners[:, 1].max())),
+    )
+    if min(horizontal, vertical) > 1e-6:
+        assert inside(obj, region) == corner_inside_oracle(obj, region)
+
+
+def test_rectangle_accept_skips_the_corners():
+    # An unturned room's box holds its bounds and no corners until a test
+    # needs them; a box strictly inside it needs none.
+    room = _rectangle(0.0, 0.0, 4.0, 3.0, 0.0, False)
+    assert room._rectangle and not _rectangle(0.0, 0.0, 4.0, 3.0, 10.0, False)._rectangle
+    assert not HEX._rectangle and not L_ROOM._rectangle
+    obj = box_object("o", (2.0, 0.5, 1.5), (0.0, 0.0, 30.0), (1.0, 1.0, 1.0))
+    assert inside(obj, room)
+    assert "plan" not in vars(world_box(obj)) and "points" not in vars(world_box(obj))
+    assert _polygon_walk(obj, room)
+
+
+transforms = st.builds(
+    Transform,
+    st.tuples(*[st.floats(-5.0, 5.0) for _ in range(3)]),
+    st.one_of(rotations, quarter_turns),
+    st.tuples(*[st.floats(0.2, 2.0) for _ in range(3)]),
+)
+dimension_tuples = st.tuples(*[st.floats(0.1, 3.0) for _ in range(3)])
+
+
+@given(st.lists(st.tuples(st.booleans(), transforms, dimension_tuples, st.integers(0, 3)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_world_box_follows_every_reassignment(steps):
+    # Each step reassigns the object's transform or dimensions: to a new
+    # value, or (index 0-2) back to an earlier value object, or to an equal
+    # copy of the current one. A copy taken along the way keeps its own box.
+    obj = SceneObject("o")
+    seen = [(obj.transform, obj.dimensions)]
+    copies = []
+    for is_transform, transform, dimensions, back in steps:
+        if back < len(seen) - 1 and back < 3:
+            transform, dimensions = seen[back]
+        elif back == 3:
+            transform = Transform(obj.transform.pos, obj.transform.rot, obj.transform.scale)
+            dimensions = tuple(obj.dimensions)
+        if is_transform:
+            obj.transform = transform
+        else:
+            obj.dimensions = dimensions
+        seen.append((obj.transform, obj.dimensions))
+        copies.append(obj.copy())
+        for each in (obj, *copies):
+            t = each.transform
+            fresh = _oriented_box.__wrapped__(each.dimensions, t.scale, t.rot, t.pos)
+            box = world_box(each)
+            assert (box.center, box.axes, box.half_extents, box.bounds) == (
+                fresh.center, fresh.axes, fresh.half_extents, fresh.bounds
+            )
+            assert box.points == fresh.points
+
+
 @given(coords, rotations, scales)
 @settings(max_examples=100, deadline=None)
 def test_box_caches_its_corners_and_bounds(pos, rot, scale):
@@ -177,12 +314,6 @@ def test_box_caches_its_corners_and_bounds(pos, rot, scale):
     corners = box.corners()
     assert corners.shape == (8, 3)
     assert box.bounds == tuple(corners.min(axis=0).tolist() + corners.max(axis=0).tolist())
-
-
-sizes = st.tuples(*[st.floats(0.05, 5.0) for _ in range(3)])
-positions = st.tuples(*[st.floats(-20.0, 20.0) for _ in range(3)])
-quarter_turns = st.integers(-8, 8).map(lambda k: (0.0, 0.0, 90.0 * k))
-any_rotation = st.tuples(*[st.floats(-720.0, 720.0) for _ in range(3)])
 
 
 def _box_fields(dimensions, scale, rot, pos) -> dict:

@@ -11,6 +11,9 @@ import pytest
 import placement_oracle
 from scenegen import generate_fixture
 from sthl import solver
+from sthl.build import build_scene
+from sthl.constraints import compile_constraints
+from sthl.dsl import parse, typecheck
 from sthl.solver import SolverConfig, initial_placement
 
 
@@ -43,3 +46,22 @@ def test_bounded_count_evaluates_fewer_constraints(monkeypatch):
     full, calls["n"] = calls["n"], 0
     _place(initial_placement, scene, 3)
     assert 0 < calls["n"] < full
+
+
+def test_constraints_through_variables_are_scored_like_literals():
+    # `g` is involved in the constraint alongside `a` and `b`; a variable is
+    # known from the start, so the constraint is scored once `a` is placed.
+    variable = "region room; object a; object b; Number g; g <- 6; assert a.pos.x + g < b.pos.x;"
+    literal = "region room; object a; object b; assert a.pos.x + 6 < b.pos.x;"
+    scenes = []
+    for source in (variable, literal):
+        typed = typecheck(parse(source))
+        scenes.append((build_scene(typed), compile_constraints(typed)))
+    for seed in range(40):
+        placed = []
+        for place in (initial_placement, placement_oracle.initial_placement):
+            for built, cs in scenes:
+                rng = random.Random(seed)
+                layout = place(built.objects, built.regions, cs, SolverConfig(rng_seed=seed), rng)
+                placed.append(([(o.id, o.transform) for o in layout.objects], rng.random()))
+        assert placed.count(placed[0]) == len(placed), seed
