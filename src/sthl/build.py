@@ -7,9 +7,10 @@ scale.y, and optional yaw from rot (x and z rotations must be zero).
 Regions without geometry assignments default to a 10x3x10 room at the
 origin. A `pos`, `scale` or `rot` component that is not finite (`1 / 0`,
 `0 / 0`), a region rotation about x or z, a region `scale.x` or `scale.z`
-that is not positive, an object scale component that is not positive, or
-a value that reads another object's placement is a `BuildError` at the
-assignment that states it.
+that is not positive, a region footprint with no area in floating point
+(a tiny scale, or a position that swallows it), an object scale component
+that is not positive, or a value that reads another object's placement is
+a `BuildError` at the assignment that states it.
 
 Objects get their world extents from their `scale` assignment (base
 dimensions stay 1x1x1), an optional initial position from `pos`, and
@@ -31,7 +32,7 @@ from sthl.constraints import (
 )
 from sthl.dsl.nodes import Assign, Declare, Span
 from sthl.dsl.typecheck import TypedProgram
-from sthl.errors import BuildError, EvalError
+from sthl.errors import BuildError, DegenerateRegion, EvalError
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 
 DEFAULT_REGION_SIZE = (10.0, 3.0, 10.0)
@@ -128,8 +129,19 @@ def build_scene(
         _build_object(name, props, assignments.get(name, ""))
         for name, props in object_props.items()
     ]
-    for region in regions:
-        region.validate()
+    for region, (name, props) in zip(regions, region_props.items()):
+        try:
+            region.validate()
+        except DegenerateRegion:
+            # A footprint with an area at the origin was swallowed by its
+            # position; otherwise its scale underflowed.
+            centered = _build_region(name, {**props, "pos": (0.0, 0.0, 0.0)}, wall_thickness)
+            try:
+                centered.validate()
+                prop = "pos"
+            except DegenerateRegion:
+                prop = "scale"
+            raise error(name, prop, "leaves the region no floor area", props[prop]) from None
     return BuiltScene(objects=objects, regions=regions)
 
 

@@ -240,7 +240,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    # The only command that needs `metrics`, and with it numpy and scipy.
+    # The only command that needs `metrics`, and with it numpy.
     from sthl import metrics as metrics_mod
 
     embedder: metrics_mod.Embedder

@@ -5,6 +5,8 @@ with the node position and the expected/actual types. Number and Degree
 form one numeric family: they mix freely in arithmetic (the result is
 Degree if either operand is Degree) and compare against each other.
 String literals coerce to Color and Material in assignment position.
+A read of a variable that the program never assigns is an error at the
+first such read.
 """
 
 from __future__ import annotations
@@ -112,6 +114,12 @@ class _Checker:
         self.program = program
         self.filename = filename
         self.symbols: dict[str, Symbol] = {}
+        # An assertion reads a variable's last assignment, wherever it stands.
+        self.assigned = {
+            stmt.target
+            for stmt in program.statements
+            if isinstance(stmt, Assign) and stmt.prop is None
+        }
 
     def run(self) -> TypedProgram:
         for stmt in self.program.statements:
@@ -222,6 +230,12 @@ class _Checker:
         if isinstance(node, StringLit):
             return ValueType.STRING
         if isinstance(node, Name):
+            if node.ident not in self.assigned:
+                raise _err(
+                    f"variable {node.ident!r} is read but never assigned",
+                    node.span,
+                    self.filename,
+                )
             symbol = self.symbols[node.ident]
             assert symbol.var_type is not None
             return symbol.var_type

@@ -7,14 +7,11 @@ one-to-one mapping with the Hungarian algorithm. Layout resemblance uses a
 thresholded many-to-many confidence matrix with an object-name occurrence
 filter. Counting conventions are asymmetric on purpose: object TP counts
 the generated side, layout TP counts the ground-truth side.
-
-scipy is imported only when the Hungarian matching first needs it, so
-importing this module (and every `sthl` command but `eval`) does not
-load it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import zlib
@@ -104,23 +101,112 @@ def _scaled_dots(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> np.n
     return np.clip((np.stack(rows) @ np.stack(cols).T + 1.0) / 2.0, 0.0, 1.0)
 
 
+def _embed_each_once(embedder: Embedder, *sides: Sequence[str]) -> list[list[np.ndarray]]:
+    """Each side's text embeddings, embedding every distinct text once
+    (embeddings are deterministic, so a repeat would give the same vector)."""
+    vectors = {text: embedder.embed(text) for text in dict.fromkeys(itertools.chain(*sides))}
+    return [[vectors[text] for text in side] for side in sides]
+
+
 # ---------------------------------------------------------------------------
 # Hungarian assignment
 
 
 def hungarian_assign(matrix: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-total one-to-one assignment on a nonnegative matrix.
+    """Maximum-total one-to-one assignment on a nonnegative matrix, as
+    `(row, column)` pairs in row order.
 
     Zero entries are unassignable: pairs whose confidence is 0 never appear
     in the result.
-    """
-    from scipy.optimize import linear_sum_assignment  # slow to import; only matching needs it
 
+    The kernel is the shortest-augmenting-path method of Kuhn (1955) and
+    Munkres (1957) in the form Crouse gives ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), the one scipy's
+    `linear_sum_assignment` runs, and it returns scipy's pairs: a tall
+    matrix is transposed to wide, entries are negated to minimise, and
+    reduced costs are computed with the same float operations in the same
+    order. Which optimal assignment is returned follows from the tie
+    rule: each step of a path search takes the remaining column of least
+    reduced cost, and at equal reduced cost an unassigned column wins over
+    an assigned one, then the first in scan order. The scan starts at the
+    last column, and a taken column's place in it goes to the scan's last
+    column.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return []
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if matrix[r, c] > 0.0]
+    if not np.isfinite(matrix).all():
+        raise ValueError("assignment matrix entries must be finite")
+    pairs = _min_cost_assignment((-matrix).tolist())
+    return [(r, c) for r, c in pairs if matrix[r, c] > 0.0]
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """Minimum-total assignment of every row (or of every column, when
+    there are more rows than columns) on a finite cost matrix."""
+    transpose = len(cost[0]) < len(cost)
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+    nr, nc = len(cost), len(cost[0])
+    inf = math.inf
+    u = [0.0] * nr  # row potentials
+    v = [0.0] * nc  # column potentials
+    path = [-1] * nc  # row from which each column was reached
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra over reduced costs from `cur_row` to the nearest
+        # unassigned column. Columns are filled in reverse, so a constant
+        # matrix gives the identity assignment.
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [inf] * nc
+        visited_rows: list[int] = []
+        visited_cols: list[int] = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                else:
+                    r = shortest[j]
+                # Of columns that share the least cost, an unassigned one
+                # wins: it ends the path.
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the potentials, then flip the path.
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        return sorted((r, c) for c, r in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +223,13 @@ def object_confidences(
     Each entry is the harmonic mean of the scaled name dot-product and the
     scaled description dot-product.
     """
-    gen_names = [embedder.embed(name) for name, _ in generated]
-    gen_descs = [embedder.embed(desc) for _, desc in generated]
-    gt_names = [embedder.embed(name) for name, _ in ground_truth]
-    gt_descs = [embedder.embed(desc) for _, desc in ground_truth]
+    gen_names, gen_descs, gt_names, gt_descs = _embed_each_once(
+        embedder,
+        [name for name, _ in generated],
+        [desc for _, desc in generated],
+        [name for name, _ in ground_truth],
+        [desc for _, desc in ground_truth],
+    )
     return ConfidenceMatrix(
         _harmonic_means(_scaled_dots(gen_names, gt_names), _scaled_dots(gen_descs, gt_descs))
     )
@@ -202,8 +291,7 @@ def layout_confidences(
     constraint occurs (whole-token, case-insensitive) in the generated
     constraint, or when the scaled dot-product falls below tau.
     """
-    gen_vecs = [embedder.embed(text) for text in generated]
-    gt_vecs = [embedder.embed(text) for text in ground_truth]
+    gen_vecs, gt_vecs = _embed_each_once(embedder, generated, ground_truth)
     gen_mentions = _mentions(generated, object_names).astype(float)
     gt_mentions = _mentions(ground_truth, object_names).astype(float)
     shared_name = gen_mentions @ gt_mentions.T > 0

@@ -231,7 +231,27 @@ class ProgramGenerator:
                 statements.append(AllowCollide(first, second))
             elif self.objects:
                 statements.append(AllowOutside(self.rng.choice(self.objects)))
+        # Reading a variable that is never assigned is a type error, so each
+        # variable left unassigned gets a fixed value; drawing nothing for it
+        # leaves the generator's stream as it was.
+        assigned = {s.target for s in statements if isinstance(s, Assign) and s.prop is None}
+        for name, var_type in self.vars.items():
+            if name not in assigned:
+                statements.append(Assign(name, None, _fixed_value(name, var_type)))
         return Program(tuple(statements))
+
+
+def _fixed_value(name: str, var_type: ValueType) -> Expr:
+    one, zero = NumberLit(1.0), NumberLit(0.0)
+    if var_type is ValueType.VECTOR3:
+        return Vec3(one, one, one)
+    if var_type is ValueType.ROTATION:
+        return Rot(zero, zero, zero)
+    if var_type in (ValueType.COLOR, ValueType.MATERIAL):
+        return StringLit("red")
+    if var_type is ValueType.BOOL:
+        return Name(name)  # only a Bool variable is assignable to one
+    return one
 
 
 def random_program(rng: random.Random) -> Program:

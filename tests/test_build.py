@@ -62,6 +62,25 @@ def test_non_positive_region_footprint_rejected_at_its_assignment(scale):
     assert (info.value.line, info.value.column) == (2, 3)
 
 
+TINY = " * ".join(["0.00000001"] * 25)  # 1e-200: its square underflows to 0
+
+
+@pytest.mark.parametrize(
+    "statements,prop,line",
+    [
+        (f"r.scale <- vec3({TINY}, 3, {TINY});", "scale", 2),
+        (f"r.scale <- vec3(1, 3, 1);\n  r.scale <- vec3({TINY}, 3, {TINY});", "scale", 3),
+        ("r.pos <- vec3(100000000000000000000, 0, 0);\n  r.scale <- vec3(1, 3, 1);", "pos", 2),
+        ("r.scale <- vec3(1, 3, 1);\n  r.pos <- vec3(0, 0, -100000000000000000000);", "pos", 3),
+        ("r.pos <- vec3(100000000000000000000, 0, 0);", "pos", 2),
+    ],
+)
+def test_region_with_no_floor_area_rejected_at_its_assignment(statements, prop, line):
+    with pytest.raises(BuildError, match=f"r.{prop} leaves the region no floor area") as info:
+        built(f"region r;\n  {statements}\nobject a;")
+    assert (info.value.line, info.value.column) == (line, 3)
+
+
 def test_overridden_bad_values_are_not_errors():
     scene = built(
         "region room; room.rot <- rot(10, 0, 0); room.rot <- rot(0, 0, 90);\n"

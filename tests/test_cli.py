@@ -103,6 +103,42 @@ def test_check_reports_counts(capsys):
     assert "3 objects" in err and "hidden" in err
 
 
+UNASSIGNED = "region room; object a; object b; Number g; assert a.pos.x + g < b.pos.x;\n"
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "pipeline", "eval"])
+def test_never_assigned_variable_is_a_located_error(tmp_path, capsys, command):
+    path = tmp_path / "g.sthl"
+    path.write_text(UNASSIGNED)
+    argv = {
+        "check": ["check", path],
+        "solve": ["solve", path, "--out", tmp_path / "solve.json"],
+        "pipeline": ["pipeline", path, "--out", tmp_path / "pkg"],
+        "eval": ["eval", "--gen", path, "--gt", path],
+    }[command]
+    assert run([str(arg) for arg in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:1:61: variable 'g' is read but never assigned\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "statements,where",
+    [
+        ("r.pos <- vec3(100000000000000000000, 0, 0); r.scale <- vec3(1, 3, 1);",
+         "1:11: r.pos leaves the region no floor area, got (1e+20, 0, 0)"),
+        ("r.scale <- vec3({tiny}, 3, {tiny});",
+         "1:11: r.scale leaves the region no floor area, got (1e-200, 3, 1e-200)"),
+    ],
+)
+def test_region_with_no_floor_area_is_a_located_error(tmp_path, capsys, statements, where):
+    tiny = " * ".join(["0.00000001"] * 25)  # 1e-200, a footprint of 1e-400
+    path = tmp_path / "r.sthl"
+    path.write_text(f"region r; {statements.format(tiny=tiny)} object a;\n")
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
 def test_solve_writes_output_and_report(tmp_path, capsys):
     out = tmp_path / "solve.json"
     report = tmp_path / "report.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -208,10 +209,12 @@ def test_variable_referencing_object_property_is_lazy():
 
 
 def test_unassigned_variable_eval_error():
-    cs = compiled("region room; object a; Number n; assert a.pos.x < n;")
-    a = SceneObject("a")
+    # The type checker rejects a program that reads a variable it never
+    # assigns, so a context without the binding stands in for one here.
+    cs = compiled("region room; object a; Number n; n <- 1; assert a.pos.x < n;")
+    ctx = dataclasses.replace(cs.context(simple_layout(SceneObject("a"))), bindings={})
     with pytest.raises(EvalError, match="never assigned"):
-        evaluate(cs.constraints[0], cs.context(simple_layout(a)))
+        evaluate(cs.constraints[0], ctx)
 
 
 def test_hidden_predicates_delegate_to_scene():

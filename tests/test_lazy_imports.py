@@ -1,14 +1,18 @@
-"""Only `sthl eval` loads scipy, and only `eval` and `assets --db` load numpy.
+"""No command loads scipy, and only `eval` and `assets --db` load numpy.
 
-Importing `scipy.optimize` costs more than importing the rest of the
-toolchain, and numpy about as much again, while no command on the solve
-path needs either, so those commands must start and run without them.
-Each check runs in a fresh interpreter: in this process an earlier test
-may already have imported both.
+scipy serves only the tests, as the oracle of `metrics.hungarian_assign`,
+so no module under `src/sthl` may import it. Importing numpy costs about
+as much as importing the rest of the toolchain, while no command on the
+solve path needs it, so those commands must start and run without it, and
+`import sthl.cli` loads the toolchain's own modules and the standard
+library's, nothing else. Each check of loaded modules runs in a fresh
+interpreter: in this process an earlier test may already have imported
+numpy and scipy.
 """
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +22,7 @@ from test_golden_cli import ASSETS_RUNS, PROGRAM, write_index
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src" / "sthl"
 
 
 def _fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -28,13 +33,36 @@ def _fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedPr
     return done
 
 
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
 def test_importing_the_toolchain_does_not_load_scipy():
+    """Nor anything else outside the standard library: only sthl's modules."""
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import sthl.cli, sthl.export, sthl.solver\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] not in sys.stdlib_module_names))\n"
     )
-    assert _fresh_python("-c", code).stdout == "[]\n"
+    loaded = ast.literal_eval(_fresh_python("-c", code).stdout)
+    assert loaded == [
+        "sthl", "sthl.assets", "sthl.build", "sthl.cli", "sthl.constraints", "sthl.dsl",
+        "sthl.dsl.lexer", "sthl.dsl.nodes", "sthl.dsl.parser", "sthl.dsl.printer",
+        "sthl.dsl.typecheck", "sthl.errors", "sthl.export", "sthl.scene", "sthl.solver",
+    ]
 
 
 # Every command but `eval` and `assets --db`, then a package read back and
@@ -73,13 +101,24 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert done.stdout == "[]\n"
 
 
+# `python -m sthl.cli eval ...`, then the scipy modules it loaded.
+EVAL_RUN = """\
+import runpy, sys
+try:
+    runpy.run_module("sthl.cli", run_name="__main__")
+finally:
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def test_eval_in_a_fresh_process_matches_golden():
     done = _fresh_python(
-        "-m", "sthl.cli", "eval",
+        "-c", EVAL_RUN, "eval",
         "--gen", str(GOLDEN / "authoring50.sthl"),
         "--gt", str(GOLDEN / "authoring60.sthl"),
     )
     assert done.stderr == (GOLDEN / "eval.txt").read_text(encoding="utf-8")
+    assert done.stdout == "[]\n"
 
 
 def test_assets_with_a_database_in_a_fresh_process_matches_golden(tmp_path):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from sthl.errors import DimensionError
 from sthl.metrics import (
@@ -14,6 +17,7 @@ from sthl.metrics import (
     MatchScores,
     TrigramEmbedder,
     TsvEmbedder,
+    _min_cost_assignment,
     harmonic_mean,
     hungarian_assign,
     layout_confidences,
@@ -74,6 +78,74 @@ def test_hungarian_matches_brute_force_on_random_matrices():
         assignment = hungarian_assign(matrix)
         total = sum(matrix[r, c] for r, c in assignment)
         assert total == pytest.approx(brute_force_best(matrix), abs=1e-9)
+
+
+# Exact pair lists against scipy's `linear_sum_assignment`, whose algorithm
+# `hungarian_assign` ports: ties decide which optimum, and with it how many
+# positive pairs (TP), an assignment keeps.
+
+ENTRIES = {
+    "ties": st.sampled_from([0.0, 0.5, 1.0]),
+    "zeros": st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    "uniform": st.floats(0.0, 1.0),
+}
+SHAPES = {
+    "1xn": (st.just(1), st.integers(1, 9)),
+    "nx1": (st.integers(1, 9), st.just(1)),
+    "tall": (st.integers(2, 9), st.integers(1, 8)),
+    "wide": (st.integers(1, 8), st.integers(2, 9)),
+    "any": (st.integers(1, 9), st.integers(1, 9)),
+}
+
+
+@st.composite
+def matrices(draw, shape: str, entry: st.SearchStrategy[float]) -> np.ndarray:
+    rows, cols = (draw(side) for side in SHAPES[shape])
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries).reshape(rows, cols)
+
+
+def scipy_pairs(matrix: np.ndarray) -> list[tuple[int, int]]:
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    return [(int(r), int(c)) for r, c in zip(rows, cols)]
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hungarian_pairs_equal_scipys(shape, kind, data):
+    matrix = data.draw(matrices(shape, ENTRIES[kind]))
+    expected = [(r, c) for r, c in scipy_pairs(matrix) if matrix[r, c] > 0.0]
+    assert hungarian_assign(matrix) == expected
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_assigns_as_scipy_with_zero_and_negative_costs(shape, data):
+    """The minimising kernel, before zero pairs are dropped, on costs of any
+    sign: every pair, so a tie broken another way shows even at cost 0."""
+    entries = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+    cost = data.draw(matrices(shape, entries))
+    assert _min_cost_assignment(cost.tolist()) == scipy_pairs(-cost)
+
+
+def test_tie_between_optima_keeps_scipys_positive_pairs():
+    # Both assignments total 1; scipy's keeps one positive pair, the other two.
+    assert hungarian_assign(np.array([[1.0, 0.5], [0.5, 0.0]])) == [(0, 0)]
+    assert hungarian_assign(np.array([[0.0, 0.5], [0.5, 1.0]])) == [(0, 1), (1, 0)]
+
+
+def test_constant_matrix_gives_the_identity():
+    assert hungarian_assign(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
+    assert hungarian_assign(np.ones((3, 2))) == [(0, 0), (1, 1)]
+
+
+def test_non_finite_entries_are_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hungarian_assign(np.array([[1.0, bad]]))
 
 
 # ---------------------------------------------------------------------------

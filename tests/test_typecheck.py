@@ -43,8 +43,9 @@ def test_color_property_needs_color_value():
 @pytest.mark.parametrize("var_type", ALL_TYPES)
 def test_property_assignment_table(prop, var_type):
     """Enumerates every property x declared-type pair; exactly the legal
-    cells must typecheck."""
-    source = f"object o; {var_type} v; o.{prop} <- v;"
+    cells must typecheck. `v <- v` gives `v` a binding of its own type, as a
+    variable read must have one."""
+    source = f"object o; {var_type} v; v <- v; o.{prop} <- v;"
     if (prop, var_type) in LEGAL_CELLS:
         check(source)
     else:
@@ -140,3 +141,30 @@ def test_component_types():
     check("object o; Number n; n <- o.pos.x + o.scale.z;")
     with pytest.raises(TypeCheckError):
         check("object o; Vector3 v; v <- o.pos.x;")
+
+
+def test_read_of_a_never_assigned_variable_is_located():
+    source = "region room; object a; object b; Number g;\nassert a.pos.x + g < b.pos.x;"
+    with pytest.raises(TypeCheckError, match="variable 'g' is read but never assigned") as info:
+        typecheck(parse(source), "room.sthl")
+    assert (info.value.line, info.value.column, info.value.filename) == (2, 18, "room.sthl")
+
+
+@pytest.mark.parametrize(
+    "statements,column",
+    [
+        ("Number h; h <- g + 1; assert o.pos.x < h;", 16),  # in a variable's binding
+        ("o.pos <- vec3(g, 0, 0); assert o.pos.x < g;", 15),  # the first of two reads
+        ("v <- o.pos; assert o.pos.x > 1 || dot(v, o.pos) < g;", 51),  # after an assigned one
+    ],
+)
+def test_first_read_is_the_one_reported(statements, column):
+    with pytest.raises(TypeCheckError, match="never assigned") as info:
+        check(f"object o; Number g; Vector3 v;\n{statements}")
+    assert (info.value.line, info.value.column) == (2, column)
+
+
+def test_variable_assigned_after_its_read_checks():
+    check("object o; Number g; assert o.pos.x < g; g <- 2;")
+    check("Bool a; Bool b; a <- b; b <- a;")
+    check("object o; Number g; Number unread;\ng <- 1; assert o.pos.x < g;")
