@@ -10,7 +10,15 @@ origin. A `pos`, `scale` or `rot` component that is not finite (`1 / 0`,
 that is not positive, a region footprint with no area in floating point
 (a tiny scale, or a position that swallows it), an object scale component
 that is not positive, or a value that reads another object's placement is
-a `BuildError` at the assignment that states it.
+a `BuildError` at the assignment that states it. A value that reads a
+variable not yet assigned there (directly, or through an earlier
+variable's value) is a `BuildError` at that read.
+
+An assertion reads a variable through its last binding, and that binding
+names the variables that were not yet assigned where it was stated (as
+`freeze_program` leaves them). A cycle among those names cannot be
+evaluated; one that an assertion reaches is a `BuildError` at the
+assignment that closes it, the latest of the cycle's bindings.
 
 Objects get their world extents from their `scale` assignment (base
 dimensions stay 1x1x1), an optional initial position from `pos`, and
@@ -21,41 +29,19 @@ otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 
-from sthl.assets import AssetEntity
 from sthl.constraints import (
     EvalContext,
     evaluate_expression,
     freeze_program,
     infer_region_assignments,
 )
-from sthl.dsl.nodes import Assign, Declare, Span
+from sthl.dsl.nodes import CHILD_FIELDS, Assert, Assign, Declare, Expr, Name, Span, idents
 from sthl.dsl.typecheck import TypedProgram
 from sthl.errors import BuildError, DegenerateRegion, EvalError
-from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
+from sthl.scene import Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 
 DEFAULT_REGION_SIZE = (10.0, 3.0, 10.0)
-
-
-@dataclass
-class BuiltScene:
-    objects: list[SceneObject]
-    regions: list[Region]
-    connections: list[Connection] = dataclass_field(default_factory=list)
-
-    def entities(self) -> list[AssetEntity]:
-        """Asset-query entities for every object, in declaration order."""
-        return [
-            AssetEntity(
-                kind="object",
-                category=obj.category,
-                color=obj.color,
-                material=obj.material,
-                features=obj.features,
-            )
-            for obj in self.objects
-        ]
 
 
 def _category_from_id(name: str) -> str:
@@ -68,8 +54,67 @@ def _evaluate_literal(stmt: Assign, filename: str):
     try:
         return evaluate_expression(stmt.value, ctx)
     except EvalError as exc:
+        read = _unassigned_read(stmt.value)
+        if read is not None:
+            message = f"reads variable {read.ident!r} before it is assigned"
+            line, column = read.span
+            raise BuildError(f"{stmt.target}.{stmt.prop} {message}", line, column, filename) from None
         message = f"assignment must not depend on object placement: {exc}"
         raise BuildError(message, stmt.span.line, stmt.span.column, filename) from None
+
+
+def _unassigned_read(value: Expr) -> Name | None:
+    """The first variable a frozen value still names: `freeze_program`
+    substitutes every variable assigned before the value, so this one was
+    not assigned where it is read."""
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if type(node) is Name:
+            return node
+        stack.extend(getattr(node, f) for f in reversed(CHILD_FIELDS.get(type(node), ())))
+    return None
+
+
+def _check_binding_cycles(typed: TypedProgram, filename: str) -> None:
+    """A BuildError at the assignment that closes the first binding cycle an
+    assertion reaches, if any (module docstring)."""
+    names: dict[str, dict[str, None]] = {}  # variable -> variables its binding names
+    closing: dict[str, Assign] = {}  # variable -> its last assignment
+    for stmt in typed.program.statements:
+        if isinstance(stmt, Assign) and stmt.prop is None:
+            named: dict[str, None] = {}
+            for ident in sorted(idents(stmt.value)):
+                if ident in names:
+                    named.update(names[ident])
+                elif typed.symbols[ident].kind == "var":
+                    named[ident] = None
+            names[stmt.target] = named
+            closing[stmt.target] = stmt
+    if not any(names.values()):
+        return
+    asserted: set[str] = set()
+    for stmt in typed.program.statements:
+        if isinstance(stmt, Assert):
+            asserted |= idents(stmt.condition)
+    done: set[str] = set()
+    for start in names:
+        if start not in asserted or start in done:
+            continue
+        path, pending = [start], [iter(names[start])]
+        while pending:
+            ident = next(pending[-1], None)
+            if ident is None:
+                done.add(path.pop())
+                pending.pop()
+            elif ident in path:
+                cycle = path[path.index(ident):]
+                stmt = max((closing[name] for name in cycle), key=lambda s: s.span)
+                message = f"circular binding for variable {stmt.target!r}"
+                raise BuildError(message, stmt.span.line, stmt.span.column, filename)
+            elif ident not in done:
+                path.append(ident)
+                pending.append(iter(names[ident]))
 
 
 def build_scene(
@@ -77,9 +122,9 @@ def build_scene(
     seed: int = 0,
     wall_thickness: float = WALL_THICKNESS,
     filename: str = "<sthl>",
-) -> BuiltScene:
+) -> SceneLayout:
     """Materialize the objects and regions a program describes, with the
-    values `freeze_program` draws for `seed`."""
+    values `freeze_program` draws for `seed`, as an unsolved layout."""
     object_props: dict[str, dict[str, object]] = {}
     region_props: dict[str, dict[str, object]] = {}
     assigned_at: dict[tuple[str, str], Span] = {}  # the assignment that holds
@@ -97,6 +142,7 @@ def build_scene(
                 object_props[stmt.target][stmt.prop] = value
             else:
                 region_props[stmt.target][stmt.prop] = value
+    _check_binding_cycles(typed, filename)
 
     def error(target: str, prop: str, requirement: str, value) -> BuildError:
         span = assigned_at[target, prop]
@@ -142,7 +188,7 @@ def build_scene(
             except DegenerateRegion:
                 prop = "scale"
             raise error(name, prop, "leaves the region no floor area", props[prop]) from None
-    return BuiltScene(objects=objects, regions=regions)
+    return SceneLayout(regions=regions, objects=objects)
 
 
 def _build_object(name: str, props: dict[str, object], region: str) -> SceneObject:

@@ -21,7 +21,7 @@ from pathlib import Path
 from sthl import assets as assets_mod
 from sthl import constraints as constraints_mod
 from sthl import export as export_mod
-from sthl.build import BuiltScene, build_scene
+from sthl.build import build_scene
 from sthl.dsl import Program, TypedProgram, parse, print_program, typecheck
 from sthl.dsl.nodes import (
     AllowCollide,
@@ -32,7 +32,7 @@ from sthl.dsl.nodes import (
 )
 from sthl.dsl.printer import print_assertion, print_expr
 from sthl.errors import SthlError, read_text
-from sthl.scene import WALL_THICKNESS
+from sthl.scene import SceneLayout, WALL_THICKNESS
 from sthl.solver import SolveReport, SolverConfig, render_report, solve
 
 DEFAULT_SOLVE_OUT = "solve.json"
@@ -75,7 +75,7 @@ def ast_document(program: Program) -> list[dict]:
 
 def _load(
     path: str | Path, seed: int = 0, wall_thickness: float = WALL_THICKNESS
-) -> tuple[Program, TypedProgram, BuiltScene]:
+) -> tuple[Program, TypedProgram, SceneLayout]:
     """The front end every program command shares: parse, type-check, build."""
     name = str(path)
     program = parse(read_text(path), filename=name)
@@ -86,25 +86,29 @@ def _load(
 
 def _compile(
     args: argparse.Namespace, eta: float = WALL_THICKNESS
-) -> tuple[Program, BuiltScene, constraints_mod.ConstraintSet]:
+) -> tuple[Program, SceneLayout, constraints_mod.ConstraintSet]:
     """The front end, then the program's constraints for `args.seed`."""
     program, typed, built = _load(args.file, args.seed, eta)
     return program, built, constraints_mod.compile_constraints(typed, seed=args.seed)
 
 
 def _solve(
-    args: argparse.Namespace, built: BuiltScene, cs: constraints_mod.ConstraintSet
-) -> tuple[SolveReport, SolverConfig]:
+    args: argparse.Namespace, built: SceneLayout, cs: constraints_mod.ConstraintSet
+) -> SolveReport:
     cfg = SolverConfig(batch_size=args.k, max_iterations=args.T, rng_seed=args.seed)
-    return solve(built.objects, built.regions, cs, cfg), cfg
+    return solve(built.objects, built.regions, cs, cfg)
 
 
 def _asset_decisions(
-    built: BuiltScene, db_path: str | None, tau: float, weights=DEFAULT_WEIGHTS
+    built: SceneLayout, db_path: str | None, tau: float, weights=DEFAULT_WEIGHTS
 ) -> dict[str, assets_mod.AssetDecision]:
     database = [] if db_path is None else assets_mod.AssetDatabase.load(db_path).entries
+    entities = [
+        assets_mod.AssetEntity("object", obj.category, obj.color, obj.material, obj.features)
+        for obj in built.objects
+    ]
     decisions = assets_mod.decide_all(
-        built.entities(), database, tau=tau, weights=weights,
+        entities, database, tau=tau, weights=weights,
         provider=assets_mod.HashProvider(), generator=assets_mod.StubGenerator(),
     )
     return {obj.id: decision for obj, decision in zip(built.objects, decisions)}
@@ -120,15 +124,12 @@ def _decisions_tsv(decisions: dict[str, assets_mod.AssetDecision]) -> str:
 
 
 def _export(
-    out_dir: str | Path, program: Program, cs: constraints_mod.ConstraintSet,
-    report: SolveReport, cfg: SolverConfig, decisions: dict[str, assets_mod.AssetDecision],
+    out_dir: str | Path, program: Program, report: SolveReport,
+    decisions: dict[str, assets_mod.AssetDecision],
 ) -> export_mod.ScenePackage:
     # Database indexes carry no mesh geometry; assume unit native extents
     # for retrieved assets so export stays total.
-    pkg = export_mod.assemble(
-        report.best_layout, decisions, cs, report, program, cfg,
-        default_native_extents=(1.0, 1.0, 1.0),
-    )
+    pkg = export_mod.assemble(report, decisions, program, default_native_extents=(1.0, 1.0, 1.0))
     export_mod.write_package(pkg, out_dir)
     return pkg
 
@@ -157,17 +158,16 @@ def pipeline(args: argparse.Namespace) -> export_mod.ScenePackage:
     if keep:
         (out_dir / "decisions.tsv").write_text(_decisions_tsv(decisions), encoding="utf-8")
 
-    report, cfg = _solve(args, built, cs)
+    report = _solve(args, built, cs)
     if keep:
         export_mod.write_json(
-            out_dir / DEFAULT_SOLVE_OUT,
-            export_mod.solve_output_document(program, built, report, cfg),
+            out_dir / DEFAULT_SOLVE_OUT, export_mod.solve_output_document(program, built, report)
         )
         for rec in report.iterations:
             export_mod.write_json(
                 out_dir / f"layout_iter{rec.index}.json", export_mod.layout_transforms(rec.layout)
             )
-    return _export(out_dir, program, cs, report, cfg, decisions)
+    return _export(out_dir, program, report, decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +204,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     program, built, cs = _compile(args)
-    report, cfg = _solve(args, built, cs)
+    report = _solve(args, built, cs)
     out = Path(args.out)
-    export_mod.write_json(out, export_mod.solve_output_document(program, built, report, cfg))
+    export_mod.write_json(out, export_mod.solve_output_document(program, built, report))
     if args.report:
-        Path(args.report).write_text(render_report(report, cs, cfg), encoding="utf-8")
+        Path(args.report).write_text(render_report(report), encoding="utf-8")
     print(
         f"{args.file}: best ratio {report.best_ratio:.4f} "
         f"({report.terminated}) -> {out}",
@@ -229,12 +229,8 @@ def _cmd_assets(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    program, built, report, cfg = export_mod.load_solve_output(Path(args.solve_output))
-    cs = constraints_mod.compile_constraints(typecheck(program), seed=cfg.rng_seed)
-    # The file may have been edited since `sthl solve` wrote it, so the
-    # verdict table comes from the layout it holds, not its `unsatisfied`.
-    report.verdicts = cs.verdicts(report.best_layout)
-    _export(args.out, program, cs, report, cfg, _asset_decisions(built, args.db, args.tau))
+    program, built, report = export_mod.load_solve_output(Path(args.solve_output))
+    _export(args.out, program, report, _asset_decisions(built, args.db, args.tau))
     print(f"package written to {args.out}", file=sys.stderr)
     return 0
 
@@ -252,7 +248,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _, gen_typed, gen_built = _load(args.gen)
     _, gt_typed, gt_built = _load(args.gt)
 
-    def object_items(built: BuiltScene) -> list[tuple[str, str]]:
+    def object_items(built: SceneLayout) -> list[tuple[str, str]]:
         return [
             (obj.id, f"{obj.color} {obj.category} {obj.material} {obj.features}".strip())
             for obj in built.objects

@@ -33,7 +33,6 @@ from pathlib import Path
 
 from sthl import scene as scene_mod
 from sthl.assets import AssetDecision
-from sthl.build import BuiltScene
 from sthl.constraints import (
     CompiledConstraint,
     ConstraintSet,
@@ -163,32 +162,27 @@ class ScenePackage:
 
 
 def assemble(
-    layout: SceneLayout,
-    decisions: dict[str, AssetDecision],
-    cs: ConstraintSet,
     report: SolveReport,
+    decisions: dict[str, AssetDecision],
     program: Program,
-    cfg: SolverConfig | None = None,
     default_native_extents: Vec | None = None,
 ) -> ScenePackage:
-    """Combine a solved layout with asset decisions into a package.
+    """Combine a solve's best layout with asset decisions into a package.
 
     Per-axis engine scale is declared world extents over the asset's
     native extents (AssetMismatch when extents are unknown and no default
     is given). Supported objects are snapped down/up to exact contact with
     their supporting surface; a snap that would flip any previously
-    satisfied constraint is reverted and flagged. When `layout` is
-    `report.best_layout`, the snap starts from `report.verdicts`, the
-    table the solver already holds (the report's table reads it too);
-    any other layout is evaluated once.
+    satisfied constraint is reverted and flagged. The snap starts from
+    `report.verdicts`, the table the report's own table reads, and the
+    solver metadata is `report.config`.
     """
-    cfg = cfg or SolverConfig()
+    layout = report.best_layout
     missing = [obj.id for obj in layout.objects if obj.id not in decisions]
     if missing:
         raise ValueError(f"asset decisions missing for objects: {', '.join(missing)}")
 
-    known = report.verdicts if layout is report.best_layout else None
-    layout, reverted = _snap_supported(layout, cs, known)
+    layout, reverted = _snap_supported(layout, report.constraints, report.verdicts)
 
     packaged = []
     manifest = []
@@ -229,7 +223,8 @@ def assemble(
         )
 
     metadata_text = print_program(program)
-    report_text = render_report(report, cs, cfg)
+    report_text = render_report(report)
+    cfg = report.config
     return ScenePackage(
         objects=packaged,
         regions=list(layout.regions),
@@ -255,19 +250,18 @@ def _rests_on_floor(obj: SceneObject, layout: SceneLayout) -> bool:
 
 
 def _snap_supported(
-    layout: SceneLayout, cs: ConstraintSet, verdicts: dict[int, bool] | None = None
+    layout: SceneLayout, cs: ConstraintSet, verdicts: dict[int, bool]
 ) -> tuple[SceneLayout, tuple[str, ...]]:
     """Snap each supported object, lowest first, to exact contact with its
     support surface, on a copy of `layout`. A snap that turns a satisfied
     constraint violated is undone, and the object is listed as reverted.
 
-    `verdicts` is every constraint's verdict on `layout` (evaluated here
-    when None). After a snap only `cs.affected_by` the moved object is
-    re-evaluated; every other verdict is copied, as the move cannot change it.
+    `verdicts` is every constraint's verdict on `layout`. After a snap only
+    `cs.affected_by` the moved object is re-evaluated; every other verdict
+    is copied, as the move cannot change it.
     """
     layout = layout.copy()
     reverted: list[str] = []
-    before = cs.verdicts(layout) if verdicts is None else verdicts
     ctx = cs.context(layout)
     order = sorted(layout.objects, key=lambda o: (scene_mod.bottom_y(o), o.id))
     for obj in order:
@@ -282,11 +276,11 @@ def _snap_supported(
         obj.transform = Transform((x, y + delta, z), original.rot, original.scale)
         affected = cs.affected_by(obj.id)
         after = {c.id: evaluate(c, ctx) for c in affected}
-        if any(before[cid] and not ok for cid, ok in after.items()):
+        if any(verdicts[cid] and not ok for cid, ok in after.items()):
             obj.transform = original
             reverted.append(obj.id)
         else:
-            before = {**before, **after}
+            verdicts = {**verdicts, **after}
     return layout, tuple(reverted)
 
 
@@ -342,6 +336,13 @@ def _typed(value, kind: type):
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, not {value!r}")
     return value
+
+
+def _solver_config(meta: dict) -> SolverConfig:
+    """The config a package's solver metadata records; a key it lacks keeps
+    its `SolverConfig` default."""
+    keys = {"rng_seed": "seed", "batch_size": "k", "max_iterations": "T"}
+    return SolverConfig(**{f: _typed(meta[key], int) for f, key in keys.items() if key in meta})
 
 
 def _region_doc(region: Region) -> dict:
@@ -447,12 +448,12 @@ def _read_transform(doc: dict) -> Transform:
 # Solve output (`sthl solve --out`, read back by `sthl export`)
 
 
-def solve_output_document(
-    program: Program, built: BuiltScene, report: SolveReport, cfg: SolverConfig
-) -> dict:
+def solve_output_document(program: Program, scene: SceneLayout, report: SolveReport) -> dict:
+    """The solve output of `program`, whose objects and regions as built are
+    `scene`, solved as `report` records."""
     return {
         "program": print_program(program),
-        "config": asdict(cfg),
+        "config": asdict(report.config),
         "scene": {
             "objects": [
                 {
@@ -464,10 +465,10 @@ def solve_output_document(
                     "features": o.features,
                     "region": o.region,
                 }
-                for o in built.objects
+                for o in scene.objects
             ],
-            "regions": [_region_doc(r) for r in built.regions],
-            "connections": [_connection_doc(c) for c in built.connections],
+            "regions": [_region_doc(r) for r in scene.regions],
+            "connections": [_connection_doc(c) for c in scene.connections],
         },
         "report": {
             "terminated": report.terminated,
@@ -488,8 +489,11 @@ def solve_output_document(
     }
 
 
-def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, SolverConfig]:
-    """Read a file written by `sthl solve --out`.
+def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
+    """Read a file written by `sthl solve --out`: its program, the scene as
+    built, and the report. The report's constraints are the program's at
+    the file's seed, and its verdicts are evaluated here on the best layout
+    the file holds, which may have been edited since `sthl solve` wrote it.
 
     Invalid JSON, a missing key, a value of the wrong type or not finite, a
     dimension that is not positive, a region polygon that is clockwise or
@@ -519,7 +523,7 @@ def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, Sol
         ]
         _check_regions(objects, regions)
         connections = [_read_connection(c) for c in scene.get("connections", [])]
-        built = BuiltScene(objects=objects, regions=regions, connections=connections)
+        built = SceneLayout(regions=regions, objects=objects, connections=connections)
         records = []
         for rec in doc["report"]["iterations"]:
             layout = SceneLayout(
@@ -543,14 +547,20 @@ def load_solve_output(path: Path) -> tuple[Program, BuiltScene, SolveReport, Sol
         best = next((r for r in records if r.index == best_index), None)
         if best is None:
             raise ValueError(f"bestIndex {best_index!r} names no iteration")
-        report = SolveReport(
-            iterations=records,
-            best_index=best_index,
-            best_layout=best.layout,
-            best_ratio=_number(doc["report"]["bestRatio"]),
-            terminated=_typed(doc["report"]["terminated"], str),
-        )
-        return program, built, report, cfg
+        best_ratio = _number(doc["report"]["bestRatio"])
+        terminated = _typed(doc["report"]["terminated"], str)
+    cs = compile_constraints(typecheck(program), seed=cfg.rng_seed)
+    report = SolveReport(
+        iterations=records,
+        best_index=best_index,
+        best_layout=best.layout,
+        best_ratio=best_ratio,
+        terminated=terminated,
+        verdicts=cs.verdicts(best.layout),
+        constraints=cs,
+        config=cfg,
+    )
+    return program, built, report
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +689,9 @@ def read_package(package_dir: str | Path) -> ScenePackage:
 
     A missing file, a missing key, a value of the wrong type, length or
     sign, a number that is not finite, a region polygon that is clockwise
-    or self-intersecting, an object in an unlisted region and scene and
-    manifest objects that differ are a FormatError naming the
+    or self-intersecting, an object in an unlisted region, a solver seed,
+    `k` or `T` that is not an integer, `k` below 1 or `T` below 0, and
+    scene and manifest objects that differ are a FormatError naming the
     file (and manifest line); an unreadable or non-UTF-8 file is an
     IoError naming it.
     """
@@ -693,7 +704,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         if doc.get("schemaVersion") != SCHEMA_VERSION:
             raise FormatError(f"{scene_path}: unsupported schema")
         solver_meta = _typed(doc.get("solver", {}), dict)
-        _typed(solver_meta.get("seed", 0), int)  # the seed a re-solve and `verdicts_for` use
+        _solver_config(solver_meta)  # what a re-solve and `verdicts_for` use
         regions = [_read_region(r) for r in doc.get("regions", [])]
         connections = [_read_connection(c) for c in doc.get("connections", [])]
         objects = [_read_object(o) for o in doc.get("objects", [])]
@@ -779,9 +790,10 @@ def resolve_region(
     transforms untouched.
 
     The constraint subset is restricted to constraints fully contained in
-    the region (its objects, the region itself, and typed variables).
+    the region (its objects, the region itself, and typed variables). The
+    default `cfg` is the seed, k and T that `pkg.solver_meta` records.
     """
-    cfg = cfg or SolverConfig(rng_seed=pkg.solver_meta.get("seed", 0))
+    cfg = cfg or _solver_config(pkg.solver_meta)
     region = next((r for r in pkg.regions if r.id == region_id), None)
     if region is None:
         raise KeyError(region_id)
@@ -827,7 +839,7 @@ def resolve_region(
     report_text = (
         pkg.report_text
         + f"# region {region_id} re-solved\n"
-        + render_report(report, sub_cs, cfg)
+        + render_report(report)
     )
     return ScenePackage(
         objects=new_objects,

@@ -65,9 +65,11 @@ class SolveReport:
     best_layout: SceneLayout
     best_ratio: float
     terminated: str  # 'allSatisfied' | 'iterationLimit'
-    #: Every constraint's verdict on `best_layout`, by id, as `solve`
-    #: evaluated it; None for a report `solve` did not make.
-    verdicts: dict[int, bool] | None = None
+    #: Every constraint's verdict on `best_layout`, by id.
+    verdicts: dict[int, bool]
+    #: The constraints and config the layouts were solved with.
+    constraints: ConstraintSet
+    config: SolverConfig
 
 
 class BatchSolver(Protocol):
@@ -633,6 +635,8 @@ def solve(
         best_ratio=best.ratio,
         terminated=terminated,
         verdicts=tables[best.index],
+        constraints=cs,
+        config=cfg,
     )
 
 
@@ -640,15 +644,10 @@ def solve(
 # Report rendering
 
 
-def render_report(
-    report: SolveReport, cs: ConstraintSet, cfg: SolverConfig | None = None
-) -> str:
-    """Human-readable solve report with the per-constraint verdict table.
-
-    The table reads `report.verdicts`, the verdicts `solve` computed for
-    its best layout; only a report without them evaluates `best_layout`.
-    """
-    cfg = cfg or SolverConfig()
+def render_report(report: SolveReport) -> str:
+    """Human-readable solve report with the per-constraint verdict table,
+    read from `report.verdicts`."""
+    cfg = report.config
     lines = [
         "# sthl solve report",
         f"config: seed={cfg.rng_seed} k={cfg.batch_size} T={cfg.max_iterations}",
@@ -663,9 +662,6 @@ def render_report(
             f"unsatisfied={len(record.unsatisfied)} batch={batch} moved={moved}"
         )
     lines.append("# constraints")
-    results = report.verdicts
-    if results is None:
-        results = cs.verdicts(report.best_layout)
-    for constraint in cs.constraints:
-        lines.append(format_verdict_line(constraint, results[constraint.id]))
+    for constraint in report.constraints.constraints:
+        lines.append(format_verdict_line(constraint, report.verdicts[constraint.id]))
     return "\n".join(lines) + "\n"

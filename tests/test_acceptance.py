@@ -380,7 +380,7 @@ def _package_from_source(source: str, seed: int):
     cfg = SolverConfig(rng_seed=seed)
     report = solve(built.objects, built.regions, cs, cfg)
     decisions = {o.id: decision_for(o.id) for o in built.objects}
-    return assemble(report.best_layout, decisions, cs, report, program, cfg)
+    return assemble(report, decisions, program)
 
 
 def test_criterion_09_package_round_trip(tmp_path):

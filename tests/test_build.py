@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from sthl.assets import DEFAULT_TAU
 from sthl.build import build_scene
+from sthl.cli import _asset_decisions
 from sthl.dsl import parse, typecheck
 from sthl.errors import BuildError
 
@@ -144,9 +146,9 @@ def test_entities_for_asset_queries():
     scene = built(
         'object armchair; armchair.color <- "red"; armchair.material <- "velvet";'
     )
-    entity = scene.entities()[0]
-    assert entity.kind == "object"
-    assert (entity.color, entity.category, entity.material) == ("red", "armchair", "velvet")
+    query = _asset_decisions(scene, None, DEFAULT_TAU)["armchair"].query
+    assert query.kind == "object"
+    assert (query.color, query.category, query.material) == ("red", "armchair", "velvet")
 
 
 @pytest.mark.parametrize("target", ["room", "a"])
@@ -157,3 +159,55 @@ def test_non_finite_placement_value_rejected_at_its_assignment(target, prop, par
     with pytest.raises(BuildError, match=f"{target}.{prop} components must be finite") as info:
         built(f"region room;\nobject a;\n  {target}.{prop} <- {call.format(part)};")
     assert (info.value.line, info.value.column) == (3, 3)
+
+
+# Programs that type-check but whose values cannot be evaluated: the error,
+# its line and column, and the message after the position.
+BINDING_ORDER_ERRORS = {
+    "self-bound-bool": (
+        "region room; object a; Bool b;\nb <- b;\nassert b = b;\n",
+        (2, 1), "circular binding for variable 'b'",
+    ),
+    "self-reading-number": (
+        "region room; object a; Number x;\nx <- x + 1;\nassert a.pos.x > x;\n",
+        (2, 1), "circular binding for variable 'x'",
+    ),
+    "cycle-closed-by-the-later-assignment": (
+        "region room; object a; Number p; Number q;\np <- q;\nq <- p;\nassert a.pos.x > p;\n",
+        (3, 1), "circular binding for variable 'q'",
+    ),
+    "property-reads-a-later-variable": (
+        "region room; object a; Number g;\na.pos <- vec3(g, 0, 0);\ng <- 1;\n",
+        (2, 15), "a.pos reads variable 'g' before it is assigned",
+    ),
+    "property-reads-it-through-a-variable": (
+        "region room; object c; Number a; Number b;\n"
+        "b <- a + 1;\na <- 2;\nc.pos <- vec3(b, 0, 0);\n",
+        (2, 6), "c.pos reads variable 'a' before it is assigned",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BINDING_ORDER_ERRORS))
+def test_binding_order_error_is_located(case):
+    source, where, message = BINDING_ORDER_ERRORS[case]
+    with pytest.raises(BuildError) as info:
+        build_scene(typecheck(parse(source)), filename="v.sthl")
+    assert (info.value.line, info.value.column) == where
+    assert str(info.value) == f"v.sthl:{where[0]}:{where[1]}: {message}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # A cycle no assertion reads.
+        "region room; object a; Bool open; Bool locked; open <- locked; locked <- open;",
+        # An assertion reads `p` through its last binding, after `q` is bound.
+        "region room; object a; Number p; Number q; p <- q + 1; q <- 2; assert a.pos.x < p;",
+        # A reassignment reads the earlier value.
+        "region room; object a; Number v; v <- 1; v <- v + 1; a.pos <- vec3(v, 0, 0);"
+        " assert v > 1;",
+    ],
+)
+def test_bindings_that_evaluate_build(source):
+    built(source)

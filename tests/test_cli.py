@@ -15,6 +15,7 @@ from sthl.cli import run
 from sthl.dsl.parser import MAX_NESTING
 from sthl.errors import SthlError
 from sthl.export import read_package, resolve_region
+from sthl.solver import SolverConfig
 
 from conftest import child_env
 from scenegen import generate_fixture
@@ -122,6 +123,34 @@ def test_never_assigned_variable_is_a_located_error(tmp_path, capsys, command):
     )
 
 
+# Each type-checks; `check` used to pass the first two, and every command
+# that builds ended them with an unlocated or misattributed error.
+BINDING_ORDER = [
+    ("region r; object a; Bool b; b <- b; assert b = b;",
+     "1:29: circular binding for variable 'b'"),
+    ("region r; object a; Number x; x <- x + 1; assert a.pos.x > x;",
+     "1:31: circular binding for variable 'x'"),
+    ("region r; object a; Number g; a.pos <- vec3(g, 0, 0); g <- 1;",
+     "1:45: a.pos reads variable 'g' before it is assigned"),
+    ("region r; object c; Number a; Number b; b <- a + 1; a <- 2; c.pos <- vec3(b, 0, 0);",
+     "1:46: c.pos reads variable 'a' before it is assigned"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+@pytest.mark.parametrize(
+    "source, where", BINDING_ORDER, ids=["bool-cycle", "number-cycle", "later", "through-variable"]
+)
+def test_binding_order_error_is_located(tmp_path, capsys, command, source, where):
+    path = tmp_path / "v.sthl"
+    path.write_text(source + "\n")
+    argv = [command, str(path)]
+    if command == "pipeline":
+        argv += ["--out", str(tmp_path / "pkg")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
 @pytest.mark.parametrize(
     "statements,where",
     [
@@ -202,6 +231,30 @@ def test_export_from_solve_output(tmp_path, capsys):
     assert run(["export", str(out), "--out", str(pkg_dir)]) == 0
     assert (pkg_dir / "scene.json").exists()
     assert (pkg_dir / "metadata.sthl").exists()
+
+
+def test_reports_state_the_config_they_were_solved_with(tmp_path, capsys):
+    options = ["--seed", "9", "--k", "2", "--T", "3"]
+    solved, report = tmp_path / "solve.json", tmp_path / "report.txt"
+    assert run(["solve", LIVINGROOM, *options, "--out", str(solved), "--report", str(report)]) == 0
+    assert run(["pipeline", LIVINGROOM, *options, "--out", str(tmp_path / "pkg")]) == 0
+    assert run(["export", str(solved), "--out", str(tmp_path / "exported")]) == 0
+    for text in (report, tmp_path / "pkg" / "report.txt", tmp_path / "exported" / "report.txt"):
+        assert text.read_text().splitlines()[1] == "config: seed=9 k=2 T=3"
+
+
+@pytest.mark.parametrize("name, region", [("bedroom", "bedroom"), ("livingroom", "room")])
+def test_resolve_region_defaults_to_the_recorded_config(tmp_path, capsys, name, region):
+    out = tmp_path / "pkg"
+    argv = ["pipeline", str(FIXTURES / f"{name}.sthl"), "--seed", "7", "--T", "0", "--k", "1"]
+    assert run([*argv, "--out", str(out)]) == 0
+    pkg = read_package(out)
+    resolved = resolve_region(pkg, region)
+    appended = resolved.report_text[len(pkg.report_text):].splitlines()
+    assert appended[:3] == [f"# region {region} re-solved", "# sthl solve report",
+                            "config: seed=7 k=1 T=0"]
+    cfg = SolverConfig(batch_size=1, max_iterations=0, rng_seed=7)
+    assert resolved == resolve_region(pkg, region, cfg)
 
 
 def test_solve_output_config_holds_the_three_solver_values(tmp_path, capsys):

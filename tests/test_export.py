@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sthl import export
 from sthl.assets import AssetDecision, AssetHandle, AssetQuery
+from sthl.build import build_scene
 from sthl.cli import run
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
@@ -57,7 +59,7 @@ def solved_package(seed: int = 3):
     cfg = SolverConfig(rng_seed=seed)
     report = solve(built.objects, built.regions, cs, cfg)
     decisions = {o.id: decision_for(o.id) for o in built.objects}
-    pkg = assemble(report.best_layout, decisions, cs, report, program, cfg)
+    pkg = assemble(report, decisions, program)
     return pkg, cs, report
 
 
@@ -78,7 +80,7 @@ def test_engine_scale_is_extents_over_native():
     cs = compile_constraints(typecheck(program))
     report = solve([table], [room], cs, SolverConfig())
     decisions = {"table": decision_for("table", extents=(2.0, 1.5, 2.0))}
-    pkg = assemble(report.best_layout, decisions, cs, report, program)
+    pkg = assemble(report, decisions, program)
     packed = pkg.objects[0]
     assert packed.scale == pytest.approx((0.5, 0.5, 0.5))
 
@@ -103,12 +105,9 @@ def test_missing_native_extents_raises_asset_mismatch():
         for o in built.objects
     }
     with pytest.raises(AssetMismatch):
-        assemble(report.best_layout, decisions, cs, report, program)
+        assemble(report, decisions, program)
     # unless a default is supplied
-    assemble(
-        report.best_layout, decisions, cs, report, program,
-        default_native_extents=(1.0, 1.0, 1.0),
-    )
+    assemble(report, decisions, program, default_native_extents=(1.0, 1.0, 1.0))
 
 
 def test_snap_exact_contact_is_identity():
@@ -152,7 +151,8 @@ def test_snap_reverted_when_constraint_would_flip():
     layout = SceneLayout(regions=[room], objects=[cabinet, shelf])
     report = solve([cabinet, shelf], [room], cs, SolverConfig(max_iterations=0))
     decisions = {o.id: decision_for(o.id) for o in layout.objects}
-    pkg = assemble(layout, decisions, cs, report, program)
+    report = replace(report, best_layout=layout, verdicts=cs.verdicts(layout))
+    pkg = assemble(report, decisions, program)
     assert "shelf" in pkg.snap_reverted
     packed = next(o for o in pkg.objects if o.id == "shelf")
     assert packed.position[1] == pytest.approx(1.104)
@@ -162,7 +162,7 @@ def test_missing_decision_rejected():
     pkg, cs, report = solved_package()
     program = parse(SOURCE)
     with pytest.raises(ValueError, match="lamp"):
-        assemble(report.best_layout, {"table": decision_for("table")}, cs, report, program)
+        assemble(report, {"table": decision_for("table")}, program)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_empty_scene_regions_only(tmp_path):
     cs = compile_constraints(typed)
     room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
     report = solve([], [room], cs, SolverConfig())
-    pkg = assemble(SceneLayout(regions=[room]), {}, cs, report, program)
+    pkg = assemble(report, {}, program)
     write_package(pkg, tmp_path / "empty")
     loaded = read_package(tmp_path / "empty")
     assert loaded.objects == []
@@ -290,6 +290,13 @@ def _set_manifest(field, text):
     return edit
 
 
+def _set_solver(key, value):
+    def edit(doc):
+        doc["solver"][key] = value
+        return doc
+    return edit
+
+
 # Each edit of a package `sthl pipeline` wrote; then the start of the
 # message after the file name (scene.json, or manifest.tsv and its line).
 # Each used to pass `read_package` and fail in `resolve_region` or
@@ -345,6 +352,26 @@ BAD_PACKAGES = {
         _set_manifest(5, "1,1,1,1"),
         "manifest.tsv:1: malformed manifest row: expected a list of 3 numbers",
     ),
+    "float-seed": (
+        _set_solver("seed", 7.0),
+        "scene.json: malformed scene document: expected int, not 7.0",
+    ),
+    "text-k": (
+        _set_solver("k", "3"),
+        "scene.json: malformed scene document: expected int, not '3'",
+    ),
+    "zero-k": (
+        _set_solver("k", 0),
+        "scene.json: malformed scene document: batch size k must be >= 1",
+    ),
+    "bool-T": (
+        _set_solver("T", True),
+        "scene.json: malformed scene document: expected int, not True",
+    ),
+    "negative-T": (
+        _set_solver("T", -1),
+        "scene.json: malformed scene document: max iterations T must be >= 0",
+    ),
 }
 
 
@@ -384,6 +411,30 @@ def test_verdict_lookup_by_object(tmp_path):
     assert ids == expected
 
 
+W_BELOW = "region room; object a; Number w; w <- rand(1, 3); assert w < 2.5;"
+
+
+def test_a_package_states_the_config_it_was_solved_with(tmp_path):
+    # At seed 42, w is drawn below 2.5; at seed 0 it is 2.69. A package
+    # that recorded seed 0 would disagree with its own report.
+    program = parse(W_BELOW)
+    typed = typecheck(program)
+    built = build_scene(typed, seed=42)
+    cs = compile_constraints(typed, seed=42)
+    report = solve(built.objects, built.regions, cs, SolverConfig(batch_size=2, rng_seed=42))
+    write_package(assemble(report, {"a": decision_for("a")}, program), tmp_path / "pkg")
+    pkg = read_package(tmp_path / "pkg")
+    assert pkg.solver_meta["seed"] == 42
+    assert pkg.report_text.splitlines()[1] == "config: seed=42 k=2 T=5"
+    claims = {
+        int(line.split()[0]): line.split()[2] == "satisfied"
+        for line in pkg.report_text.split("# constraints\n")[1].splitlines()
+    }
+    assert claims[0] is True
+    assert [(c.id, ok) for c, ok in pkg.verdicts_for("w")] == [(0, True)]
+    assert all(claims[c.id] == ok for c, ok in pkg.verdicts_for("a"))
+
+
 # ---------------------------------------------------------------------------
 # partial regeneration
 
@@ -410,7 +461,7 @@ def two_room_package():
     cfg = SolverConfig(rng_seed=7)
     report = solve(built.objects, built.regions, cs, cfg)
     decisions = {o.id: decision_for(o.id) for o in built.objects}
-    return assemble(report.best_layout, decisions, cs, report, program, cfg)
+    return assemble(report, decisions, program)
 
 
 def test_resolve_region_isolation(tmp_path):
@@ -501,7 +552,8 @@ def test_snap_reverted_when_a_variable_pins_the_height():
     layout = SceneLayout(regions=[room], objects=[cabinet, shelf])
     report = solve([cabinet, shelf], [room], cs, SolverConfig(max_iterations=0))
     decisions = {o.id: decision_for(o.id) for o in layout.objects}
-    pkg = assemble(layout, decisions, cs, report, program)
+    report = replace(report, best_layout=layout, verdicts=cs.verdicts(layout))
+    pkg = assemble(report, decisions, program)
     assert "shelf" in pkg.snap_reverted
 
 
@@ -524,7 +576,8 @@ def test_snap_reverted_when_it_would_unsupport_another_object():
     layout = SceneLayout(regions=[room], objects=[cabinet, book])
     report = solve([cabinet, book], [room], cs, SolverConfig(max_iterations=0))
     decisions = {o.id: decision_for(o.id) for o in layout.objects}
-    pkg = assemble(layout, decisions, cs, report, program)
+    report = replace(report, best_layout=layout, verdicts=cs.verdicts(layout))
+    pkg = assemble(report, decisions, program)
     assert pkg.snap_reverted == ("cabinet",)
     packed = {o.id: o.position[1] for o in pkg.objects}
     assert packed["cabinet"] == pytest.approx(0.504)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,12 +106,14 @@ def test_relaxation_snap_and_report_match_the_oracle(kind, key):
 
     report = solve(built.objects, built.regions, cs, cfg)
     assert report.verdicts == oracle._results(cs, report.best_layout)
-    assert render_report(report, cs, cfg) == oracle.render_report(report, cs, cfg)
+    assert render_report(report) == oracle.render_report(report, cs, cfg)
 
     for layout, verdicts in (
         (report.best_layout, report.verdicts),
-        (_perturbed(report.best_layout, seed), None),
-        (_perturbed(_squeezed(report.best_layout), seed + 1), None),
+        *((layout, cs.verdicts(layout)) for layout in (
+            _perturbed(report.best_layout, seed),
+            _perturbed(_squeezed(report.best_layout), seed + 1),
+        )),
     ):
         snapped, reverted = export._snap_supported(layout, cs, verdicts)
         expected, expected_reverted = oracle._snap_supported(layout, cs)
@@ -126,7 +129,7 @@ def test_perturbed_layouts_snap_and_revert():
         built, cs = _inputs(_program("scenegen", key), key[0])
         report = solve(built.objects, built.regions, cs, SolverConfig(rng_seed=key[0], max_iterations=0))
         layout = _perturbed(report.best_layout, key[0])
-        snapped, undone = export._snap_supported(layout, cs)
+        snapped, undone = export._snap_supported(layout, cs, cs.verdicts(layout))
         moved += sum(a != b for a, b in zip(_transforms(layout), _transforms(snapped)))
         reverted += len(undone)
     assert moved > 20 and reverted > 0
@@ -178,16 +181,16 @@ def test_snap_test_layouts_match_the_oracle(name):
     program, cs, room, layout = _snap_case(extra, objects())
     expected, expected_reverted = oracle._snap_supported(layout, cs)
     assert expected_reverted  # each case reverts a snap
-    for verdicts in (None, cs.verdicts(layout)):
-        snapped, reverted = export._snap_supported(layout, cs, verdicts)
-        assert reverted == expected_reverted
-        assert _transforms(snapped) == _transforms(expected)
+    snapped, reverted = export._snap_supported(layout, cs, cs.verdicts(layout))
+    assert reverted == expected_reverted
+    assert _transforms(snapped) == _transforms(expected)
 
     report = solve(objects(), [room], cs, SolverConfig(max_iterations=0))
+    report = replace(report, best_layout=layout, verdicts=cs.verdicts(layout))
     decisions = {o.id: _decision(o.id) for o in layout.objects}
-    pkg = export.assemble(layout, decisions, cs, report, program)
+    pkg = export.assemble(report, decisions, program)
     assert pkg.snap_reverted == expected_reverted
-    assert pkg.report_text == oracle.render_report(report, cs)
+    assert pkg.report_text == oracle.render_report(report, cs, report.config)
 
 
 def _decision(obj_id: str) -> AssetDecision:

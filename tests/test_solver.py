@@ -343,7 +343,7 @@ def test_solve_deterministic_end_to_end():
     cfg = SolverConfig(rng_seed=5)
     rep1 = solve(fixture.objects, fixture.regions, fixture.cs, cfg)
     rep2 = solve(fixture.objects, fixture.regions, fixture.cs, cfg)
-    assert render_report(rep1, fixture.cs, cfg) == render_report(rep2, fixture.cs, cfg)
+    assert render_report(rep1) == render_report(rep2)
     t1 = [(o.id, o.transform) for o in rep1.best_layout.objects]
     t2 = [(o.id, o.transform) for o in rep2.best_layout.objects]
     assert t1 == t2
@@ -414,6 +414,6 @@ def test_report_verdicts_use_the_solver_support_tolerance():
     report = solve(built.objects, built.regions, cs, cfg)
     assert 0.0 < report.best_ratio < 1.0
     verdicts = [
-        line.split()[2] for line in render_report(report, cs, cfg).split("# constraints\n")[1].splitlines()
+        line.split()[2] for line in render_report(report).split("# constraints\n")[1].splitlines()
     ]
     assert verdicts.count("satisfied") / len(verdicts) == report.best_ratio
