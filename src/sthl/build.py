@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 
 from sthl.constraints import (
+    REGION_DEFAULTS,
     EvalContext,
     evaluate_expression,
     freeze_program,
@@ -40,8 +41,6 @@ from sthl.dsl.nodes import CHILD_FIELDS, Assert, Assign, Declare, Expr, Name, Sp
 from sthl.dsl.typecheck import TypedProgram
 from sthl.errors import BuildError, DegenerateRegion, EvalError
 from sthl.scene import Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
-
-DEFAULT_REGION_SIZE = (10.0, 3.0, 10.0)
 
 
 def _category_from_id(name: str) -> str:
@@ -118,13 +117,12 @@ def _check_binding_cycles(typed: TypedProgram, filename: str) -> None:
 
 
 def build_scene(
-    typed: TypedProgram,
-    seed: int = 0,
-    wall_thickness: float = WALL_THICKNESS,
-    filename: str = "<sthl>",
+    typed: TypedProgram, seed: int = 0, wall_thickness: float = WALL_THICKNESS
 ) -> SceneLayout:
     """Materialize the objects and regions a program describes, with the
-    values `freeze_program` draws for `seed`, as an unsolved layout."""
+    values `freeze_program` draws for `seed`, as an unsolved layout. Errors
+    name the source `parse` was given."""
+    filename = typed.program.filename
     object_props: dict[str, dict[str, object]] = {}
     region_props: dict[str, dict[str, object]] = {}
     assigned_at: dict[tuple[str, str], Span] = {}  # the assignment that holds
@@ -160,7 +158,7 @@ def build_scene(
         if any(s <= 0 for s in scale):  # type: ignore[attr-defined]
             raise error(name, "scale", "components must be positive", scale)
     for name, props in region_props.items():
-        scale = props.get("scale", DEFAULT_REGION_SIZE)
+        scale = props.get("scale", REGION_DEFAULTS["scale"])
         if scale[0] <= 0 or scale[2] <= 0:  # type: ignore[index]
             raise error(name, "scale", "x and z of a region must be positive", scale)
         rot = props.get("rot", (0.0, 0.0, 0.0))
@@ -211,7 +209,7 @@ def _build_object(name: str, props: dict[str, object], region: str) -> SceneObje
 
 def _build_region(name: str, props: dict[str, object], wall_thickness: float) -> Region:
     pos = tuple(props.get("pos", (0.0, 0.0, 0.0)))  # type: ignore[arg-type]
-    size = tuple(props.get("scale", DEFAULT_REGION_SIZE))  # type: ignore[arg-type]
+    size = tuple(props.get("scale", REGION_DEFAULTS["scale"]))  # type: ignore[arg-type]
     rot = tuple(props.get("rot", (0.0, 0.0, 0.0)))  # type: ignore[arg-type]
     cx, floor_y, cz = pos
     half_w, half_d = size[0] / 2.0, size[2] / 2.0

@@ -77,10 +77,9 @@ def _load(
     path: str | Path, seed: int = 0, wall_thickness: float = WALL_THICKNESS
 ) -> tuple[Program, TypedProgram, SceneLayout]:
     """The front end every program command shares: parse, type-check, build."""
-    name = str(path)
-    program = parse(read_text(path), filename=name)
-    typed = typecheck(program, filename=name)
-    built = build_scene(typed, seed=seed, wall_thickness=wall_thickness, filename=name)
+    program = parse(read_text(path), filename=str(path))
+    typed = typecheck(program)
+    built = build_scene(typed, seed=seed, wall_thickness=wall_thickness)
     return program, typed, built
 
 
@@ -127,9 +126,7 @@ def _export(
     out_dir: str | Path, program: Program, report: SolveReport,
     decisions: dict[str, assets_mod.AssetDecision],
 ) -> export_mod.ScenePackage:
-    # Database indexes carry no mesh geometry; assume unit native extents
-    # for retrieved assets so export stays total.
-    pkg = export_mod.assemble(report, decisions, program, default_native_extents=(1.0, 1.0, 1.0))
+    pkg = export_mod.assemble(report, decisions, program)
     export_mod.write_package(pkg, out_dir)
     return pkg
 
@@ -282,14 +279,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    if args.from_text is not None:
-        print(
-            "pipeline --from-text is not available: natural-language "
-            "formalization requires an external language model; write the "
-            "specification as a .sthl program instead",
-            file=sys.stderr,
-        )
-        return 2
     pkg = pipeline(args)
     print(
         f"{args.file}: scene package with {len(pkg.objects)} objects -> {args.out}",
@@ -387,8 +376,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="precomputed vectors tsv")
 
     p = sub.add_parser("pipeline", help="run the full pipeline to a scene package")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--from-text", default=None, help="(unavailable) natural-language input")
+    p.add_argument("file")
     p.add_argument("--seed", **seed_kwargs)
     p.add_argument("--k", type=_positive_int(1, "k"), default=3)
     p.add_argument("--T", type=_positive_int(0, "T"), default=5)
@@ -404,8 +392,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.command == "pipeline" and args.file is None and args.from_text is None:
-        parser.error("pipeline requires a .sthl file")
     if getattr(args, "eta", 0.0) < 0:
         parser.error("eta must be non-negative")
     if getattr(args, "seed", 0) is None:

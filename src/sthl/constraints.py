@@ -50,6 +50,9 @@ from sthl.errors import EvalError
 #: Absolute tolerance for `=` comparisons on numbers.
 EQ_TOLERANCE = 1e-6
 
+#: What a region's `pos`, `scale` and `rot` are when the program assigns none.
+REGION_DEFAULTS = {"pos": (0.0, 0.0, 0.0), "scale": (10.0, 3.0, 10.0), "rot": (0.0, 0.0, 0.0)}
+
 
 # ---------------------------------------------------------------------------
 # Hidden-constraint predicates (not part of the user-writable grammar)
@@ -91,6 +94,8 @@ class ConstraintSet:
     bindings: dict[str, Expr] = field(default_factory=dict)
     #: object id -> region id used for the hidden boundary constraints.
     region_assignments: dict[str, str] = field(default_factory=dict)
+    #: region id -> property -> the frozen value its last assignment states.
+    region_values: dict[str, dict[str, Expr]] = field(default_factory=dict)
     # Index built once from `constraints`: id -> constraint, each involved
     # name -> the constraints naming it, and the `Supported` constraints,
     # in set order.
@@ -112,7 +117,7 @@ class ConstraintSet:
     def context(self, layout: scene.SceneLayout, rng_seed: int = 0) -> "EvalContext":
         """The one way to get a context for evaluating this set on `layout`.
         `rng_seed` is stored but not read; every `rand` is already frozen."""
-        return EvalContext(layout, self.bindings, rng_seed)
+        return EvalContext(layout, self.bindings, rng_seed, self.region_values)
 
     def by_id(self, constraint_id: int) -> CompiledConstraint:
         return self._by_id[constraint_id]
@@ -141,6 +146,7 @@ class EvalContext:
     layout: scene.SceneLayout
     bindings: dict[str, Expr] = field(default_factory=dict)
     rng_seed: int = 0
+    region_values: dict[str, dict[str, Expr]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,7 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
     explicit: list[CompiledAssertion] = []
     allow_collide: set[tuple[str, str]] = set()
     allow_outside: set[str] = set()
+    region_values: dict[str, dict[str, Expr]] = {name: {} for name in typed.regions()}
 
     for stmt in freeze_program(typed, seed):
         if isinstance(stmt, Assert):
@@ -203,6 +210,8 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
             allow_outside.add(stmt.name)
         elif isinstance(stmt, Assign) and stmt.prop is None:
             env[stmt.target] = stmt.value
+        elif isinstance(stmt, Assign) and stmt.target in region_values:
+            region_values[stmt.target][stmt.prop] = stmt.value
 
     constraints: list[CompiledConstraint] = []
     for assertion in explicit:
@@ -257,6 +266,7 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
         allow_outside=frozenset(allow_outside),
         bindings=env,
         region_assignments=assignments,
+        region_values=region_values,
     )
 
 
@@ -519,18 +529,19 @@ def _eval_propref(node: PropRef, ctx: EvalContext) -> Value:
             return value
         return value[_COMPONENT_INDEX[node.prop][node.component]]
     try:
-        region = layout.region(node.obj)
+        layout.region(node.obj)
     except KeyError:
         raise EvalError(f"identifier {node.obj!r} missing from layout") from None
-    min_x, min_z, max_x, max_z = region.bounds()
-    if node.prop == "pos":
-        value = ((min_x + max_x) / 2.0, region.floor_y, (min_z + max_z) / 2.0)
-    elif node.prop == "scale":
-        value = (max_x - min_x, region.height, max_z - min_z)
-    elif node.prop == "rot":
-        value = (0.0, 0.0, 0.0)
-    else:
+    if node.prop not in REGION_DEFAULTS:
         raise EvalError(f"region {node.obj!r} has no property {node.prop!r}")
+    # A region reads as the program states it, not as its polygon's bounds,
+    # which differ once it is rotated: the value `build_scene` evaluates,
+    # which reads neither the layout nor a variable binding.
+    stated = ctx.region_values.get(node.obj, {}).get(node.prop)
+    if stated is None:
+        value = REGION_DEFAULTS[node.prop]
+    else:
+        value = _eval_expr(stated, EvalContext(scene.SceneLayout()))
     if node.component is None:
         return value
     return value[_COMPONENT_INDEX[node.prop][node.component]]

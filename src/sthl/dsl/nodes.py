@@ -221,6 +221,8 @@ class Program:
     statements: tuple[Statement, ...]
     #: Normalization notes collected while parsing (e.g. `entity` alias use).
     notes: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    #: The source name `parse` was given; every later stage's errors name it.
+    filename: str = field(default="<sthl>", compare=False, repr=False)
 
 
 #: Child fields of each node type that has children, left to right.

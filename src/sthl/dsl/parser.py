@@ -160,7 +160,7 @@ class _Parser:
         statements: list[Statement] = []
         while kinds[self.pos] != "EOF":
             statements.append(self.statement())
-        return Program(tuple(statements), notes=tuple(self.notes))
+        return Program(tuple(statements), notes=tuple(self.notes), filename=self.filename)
 
     def statement(self) -> Statement:
         i = self.pos

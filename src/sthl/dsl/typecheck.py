@@ -110,9 +110,9 @@ def _family(t: ValueType) -> str:
 
 
 class _Checker:
-    def __init__(self, program: Program, filename: str):
+    def __init__(self, program: Program):
         self.program = program
-        self.filename = filename
+        self.filename = program.filename
         self.symbols: dict[str, Symbol] = {}
         # An assertion reads a variable's last assignment, wherever it stands.
         self.assigned = {
@@ -304,6 +304,7 @@ class _Checker:
                 )
 
 
-def typecheck(program: Program, filename: str = "<sthl>") -> TypedProgram:
-    """Check a parsed program, returning it with type annotations."""
-    return _Checker(program, filename).run()
+def typecheck(program: Program) -> TypedProgram:
+    """Check a parsed program, returning it with type annotations. Errors
+    name the source `parse` was given."""
+    return _Checker(program).run()

@@ -60,10 +60,6 @@ class NoAssetError(SthlError):
     """No database candidates and no generator to fall back to."""
 
 
-class AssetMismatch(SthlError):
-    """An asset handle lacks the geometry metadata needed for export."""
-
-
 class DegenerateRegion(SthlError):
     """Region polygon has non-positive area."""
 

@@ -40,7 +40,7 @@ from sthl.constraints import (
     evaluate,
 )
 from sthl.dsl import Program, parse, print_program, typecheck
-from sthl.errors import AssetMismatch, DegenerateRegion, FormatError, IoError, read_text
+from sthl.errors import DegenerateRegion, FormatError, IoError, read_text
 from sthl.scene import Connection, Region, SceneLayout, SceneObject, Transform, thicken_walls
 from sthl.solver import IterationRecord, SolveReport, SolverConfig, render_report, solve
 
@@ -147,13 +147,12 @@ class ScenePackage:
             connections=list(self.connections),
         )
 
-    def verdicts_for(self, object_id: str, seed: int | None = None) -> list[tuple[CompiledConstraint, bool]]:
-        """Re-evaluate the embedded constraints that involve one object."""
-        seed = seed if seed is not None else self.solver_meta.get("seed", 0)
-        typed = typecheck(self.program())
-        cs = compile_constraints(typed, seed=seed)
-        layout = self.to_layout()
-        ctx = cs.context(layout, rng_seed=seed)
+    def verdicts_for(self, object_id: str) -> list[tuple[CompiledConstraint, bool]]:
+        """Re-evaluate the embedded constraints that involve one object, at
+        the seed the solver metadata records."""
+        seed = _solver_config(self.solver_meta).rng_seed
+        cs = compile_constraints(typecheck(self.program()), seed=seed)
+        ctx = cs.context(self.to_layout())
         return [(c, evaluate(c, ctx)) for c in cs.touching(object_id)]
 
 
@@ -165,17 +164,16 @@ def assemble(
     report: SolveReport,
     decisions: dict[str, AssetDecision],
     program: Program,
-    default_native_extents: Vec | None = None,
 ) -> ScenePackage:
     """Combine a solve's best layout with asset decisions into a package.
 
     Per-axis engine scale is declared world extents over the asset's
-    native extents (AssetMismatch when extents are unknown and no default
-    is given). Supported objects are snapped down/up to exact contact with
-    their supporting surface; a snap that would flip any previously
-    satisfied constraint is reverted and flagged. The snap starts from
-    `report.verdicts`, the table the report's own table reads, and the
-    solver metadata is `report.config`.
+    native extents. Database indexes carry no mesh geometry, so an asset
+    whose extents are unknown counts as a unit cube. Supported objects are
+    snapped down/up to exact contact with their supporting surface; a snap
+    that would flip any previously satisfied constraint is reverted and
+    flagged. The snap starts from `report.verdicts`, the table the report's
+    own table reads, and the solver metadata is `report.config`.
     """
     layout = report.best_layout
     missing = [obj.id for obj in layout.objects if obj.id not in decisions]
@@ -188,11 +186,7 @@ def assemble(
     manifest = []
     for obj in layout.objects:
         decision = decisions[obj.id]
-        native = decision.model.native_extents or default_native_extents
-        if native is None:
-            raise AssetMismatch(
-                f"asset for object {obj.id!r} has no native bounding-box extents"
-            )
+        native = decision.model.native_extents or (1.0, 1.0, 1.0)
         world = obj.extents()
         engine_scale = tuple(w / n for w, n in zip(world, native))
         packaged.append(
@@ -570,7 +564,7 @@ def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
 def scene_document(pkg: ScenePackage) -> dict:
     regions = []
     for region in pkg.regions:
-        mesh = thicken_walls(region, region.wall_thickness)
+        mesh = thicken_walls(region)
         regions.append(
             {
                 **_region_doc(region),
@@ -758,7 +752,7 @@ def read_package(package_dir: str | Path) -> ScenePackage:
         raise FormatError(f"{metadata_path}: missing metadata")
     metadata_text = read_text(metadata_path)
     try:
-        program = parse(metadata_text)
+        program = parse(metadata_text, filename=str(metadata_path))
     except Exception as exc:
         raise FormatError(f"{metadata_path}: embedded program does not parse: {exc}") from exc
 
@@ -810,6 +804,7 @@ def resolve_region(
         allow_outside=cs.allow_outside,
         bindings=cs.bindings,
         region_assignments={k: v for k, v in cs.region_assignments.items() if k in target_ids},
+        region_values=cs.region_values,
     )
     sub_objects = [obj.copy() for obj in layout.objects if obj.id in target_ids]
     for obj in sub_objects:

@@ -379,13 +379,13 @@ class TrigramEmbedder:
 
 @dataclass
 class TsvEmbedder:
-    """Embeddings read from a `text<TAB>v1,v2,...` file, with a fallback."""
+    """Embeddings read from a `text<TAB>v1,v2,...` file; a text the file
+    lacks gets its `TrigramEmbedder` embedding."""
 
     vectors: dict[str, np.ndarray]
-    fallback: Embedder
 
     @classmethod
-    def load(cls, path: str | Path, fallback: Embedder | None = None) -> "TsvEmbedder":
+    def load(cls, path: str | Path) -> "TsvEmbedder":
         vectors: dict[str, np.ndarray] = {}
         expected_dim: int | None = None
         for lineno, line in enumerate(read_text(path).splitlines(), 1):
@@ -409,9 +409,9 @@ class TsvEmbedder:
                 )
             norm = float(np.linalg.norm(vec))
             vectors[parts[0]] = vec / norm if norm > 0 else vec
-        return cls(vectors, fallback or TrigramEmbedder())
+        return cls(vectors)
 
     def embed(self, text: str) -> np.ndarray:
         if text in self.vectors:
             return self.vectors[text]
-        return self.fallback.embed(text)
+        return TrigramEmbedder().embed(text)

@@ -439,8 +439,9 @@ def distance_to_boundary(point: Point2, polygon: tuple[Point2, ...]) -> float:
     return best
 
 
-def point_in_polygon(point: Point2, polygon: tuple[Point2, ...], eps: float = _BOUNDARY_EPS) -> bool:
-    """Winding-number membership; points within eps of the boundary count inside."""
+def point_in_polygon(point: Point2, polygon: tuple[Point2, ...]) -> bool:
+    """Winding-number membership; points within `_BOUNDARY_EPS` of the
+    boundary count inside."""
     winding = 0
     px, pz = point
     n = len(polygon)
@@ -452,7 +453,7 @@ def point_in_polygon(point: Point2, polygon: tuple[Point2, ...], eps: float = _B
                 winding += 1
         elif bz <= pz and (bx - ax) * (pz - az) - (px - ax) * (bz - az) < 0:
             winding -= 1
-    return winding != 0 or distance_to_boundary(point, polygon) <= eps
+    return winding != 0 or distance_to_boundary(point, polygon) <= _BOUNDARY_EPS
 
 
 def convex_hull(points: Iterable[Point2]) -> list[Point2]:
@@ -637,19 +638,18 @@ class WallSlab:
 
 @dataclass(frozen=True)
 class RegionMeshSpec:
-    region_id: str
-    floor_polygon: tuple[Point2, ...]
-    floor_y: float
     floor_thickness: float
     walls: tuple[WallSlab, ...]
 
 
-def thicken_walls(region: Region, eta: float) -> RegionMeshSpec:
-    """Extrude each region edge outward by eta into a wall slab.
+def thicken_walls(region: Region) -> RegionMeshSpec:
+    """Extrude each region edge outward by its wall thickness eta into a
+    wall slab.
 
     Callers separate neighboring regions by exactly 2*eta so that the
     resulting outer faces meet with no overlap and no gap.
     """
+    eta = region.wall_thickness
     polygon = region.vertices
     if signed_area(polygon) <= 0:
         raise DegenerateRegion(f"region {region.id!r} polygon area must be positive")
@@ -694,10 +694,4 @@ def thicken_walls(region: Region, eta: float) -> RegionMeshSpec:
                 thickness=eta,
             )
         )
-    return RegionMeshSpec(
-        region_id=region.id,
-        floor_polygon=polygon,
-        floor_y=region.floor_y,
-        floor_thickness=eta,
-        walls=tuple(walls),
-    )
+    return RegionMeshSpec(floor_thickness=eta, walls=tuple(walls))

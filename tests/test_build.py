@@ -137,7 +137,7 @@ def test_variables_and_rand_in_assignments():
 
 def test_layout_dependent_assignment_rejected():
     with pytest.raises(BuildError, match="placement") as info:
-        build_scene(typecheck(parse("object a; object b;\n  b.pos <- a.pos;")), filename="room.sthl")
+        build_scene(typecheck(parse("object a; object b;\n  b.pos <- a.pos;", "room.sthl")))
     assert (info.value.line, info.value.column, info.value.filename) == (2, 3, "room.sthl")
     assert str(info.value).startswith("room.sthl:2:3: assignment must not depend on object placement")
 
@@ -192,7 +192,7 @@ BINDING_ORDER_ERRORS = {
 def test_binding_order_error_is_located(case):
     source, where, message = BINDING_ORDER_ERRORS[case]
     with pytest.raises(BuildError) as info:
-        build_scene(typecheck(parse(source)), filename="v.sthl")
+        build_scene(typecheck(parse(source, "v.sthl")))
     assert (info.value.line, info.value.column) == where
     assert str(info.value) == f"v.sthl:{where[0]}:{where[1]}: {message}"
 

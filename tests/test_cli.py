@@ -577,9 +577,11 @@ def test_pipeline_deterministic_bytes(tmp_path):
     assert (one / "report.txt").read_bytes() == (two / "report.txt").read_bytes()
 
 
-def test_pipeline_from_text_refused(capsys):
-    assert run(["pipeline", "--from-text", "a cozy cabin"]) == 2
-    assert "language model" in capsys.readouterr().err
+def test_pipeline_without_a_file_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["pipeline", "--seed", "4"])
+    assert exc.value.code == 2
+    assert "required: file" in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
@@ -775,6 +777,19 @@ def test_export_of_an_edited_solve_output_reports_the_edited_layout(tmp_path, ca
     report = (tmp_path / "after" / "report.txt").read_text()
     assert "hidden-gravity violated supported(table_lamp)" in report
     assert supported not in report
+
+
+def test_type_error_in_an_edited_solve_output_names_the_file(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    assert run(["solve", BEDROOM, "--T", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["program"] += "assert bed.color > 1;\n"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["export", str(out), "--out", str(tmp_path / "pkg")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}:14:18: ordering '>' requires numbers, found Color and Number\n"
+    )
 
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sthl.build import build_scene
 from sthl.constraints import (
     EQ_TOLERANCE,
     NoCollision,
@@ -226,6 +227,27 @@ def test_hidden_predicates_delegate_to_scene():
     assert results["NoCollision"] is False  # overlapping
     assert results["Supported"] is True
     assert results["InsidePred"] is True
+
+
+@pytest.mark.parametrize(
+    "stated,reads",
+    [
+        (
+            "r.pos <- vec3(1, 0.5, 2); r.scale <- vec3(4, 3, 2); r.rot <- rot(0, 0, 90);",
+            "r.pos.x = 1 && r.pos.y = 0.5 && r.pos.z = 2 && r.scale.x = 4 && r.scale.z = 2"
+            " && r.rot.y = 90",
+        ),
+        ("", "r.pos.x = 0 && r.scale.x = 10 && r.scale.y = 3 && r.scale.z = 10 && r.rot.y = 0"),
+        ("r.scale <- vec3(1, 3, 1); r.scale <- vec3(6, 2, 5);", "r.scale.x = 6 && r.scale.y = 2"),
+    ],
+    ids=["rotated", "defaults", "last-assignment"],
+)
+def test_a_region_reads_as_the_program_states_it(stated, reads):
+    typed = typecheck(parse(f"region r; {stated} object a; assert {reads};"))
+    cs = compile_constraints(typed)
+    assert evaluate(cs.constraints[0], cs.context(build_scene(typed))) is True
+    with pytest.raises(EvalError, match="^identifier 'r' missing from layout$"):
+        evaluate(cs.constraints[0], cs.context(SceneLayout()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from sthl.build import build_scene
 from sthl.cli import run
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
-from sthl.errors import AssetMismatch, FormatError, IoError
+from sthl.errors import FormatError, IoError, TypeCheckError
 from sthl.export import (
     assemble,
     read_package,
@@ -85,12 +85,9 @@ def test_engine_scale_is_extents_over_native():
     assert packed.scale == pytest.approx((0.5, 0.5, 0.5))
 
 
-def test_missing_native_extents_raises_asset_mismatch():
-    pkg_inputs = solved_package()
+def test_asset_without_native_extents_is_packaged_as_a_unit_cube():
     program = parse(SOURCE)
     typed = typecheck(program)
-    from sthl.build import build_scene
-
     built = build_scene(typed, seed=3)
     cs = compile_constraints(typed, seed=3)
     report = solve(built.objects, built.regions, cs, SolverConfig(rng_seed=3))
@@ -104,10 +101,11 @@ def test_missing_native_extents_raises_asset_mismatch():
         )
         for o in built.objects
     }
-    with pytest.raises(AssetMismatch):
-        assemble(report, decisions, program)
-    # unless a default is supplied
-    assemble(report, decisions, program, default_native_extents=(1.0, 1.0, 1.0))
+    pkg = assemble(report, decisions, program)
+    layout = report.best_layout
+    for packed, entry in zip(pkg.objects, pkg.manifest):
+        assert packed.scale == layout.object(packed.id).extents()
+        assert entry.native_extents == (1.0, 1.0, 1.0)
 
 
 def test_snap_exact_contact_is_identity():
@@ -390,6 +388,34 @@ def test_malformed_package_is_a_format_error_naming_the_file(livingroom_package,
     with pytest.raises(FormatError) as exc:
         read_package(out)
     assert str(exc.value).startswith(f"{out}/{message}")
+
+
+def test_type_error_in_an_edited_metadata_names_the_file(livingroom_package, tmp_path):
+    out = tmp_path / "pkg"
+    shutil.copytree(livingroom_package, out)
+    path = out / export.METADATA_FILE
+    text = path.read_text()
+    obj = read_package(out).objects[0]
+    path.write_text(f"{text}assert {obj.id}.color > 1;\n")
+    pkg = read_package(out)
+    line = len(text.splitlines()) + 1
+    for call in (lambda: resolve_region(pkg, obj.region), lambda: pkg.verdicts_for(obj.id)):
+        with pytest.raises(TypeCheckError) as exc:
+            call()
+        assert (exc.value.filename, exc.value.line) == (str(path), line)
+
+
+def test_a_package_read_back_reads_a_region_as_stated(tmp_path):
+    source = tmp_path / "rotated.sthl"
+    source.write_text(
+        "region r;\nr.scale <- vec3(4, 3, 2);\nr.rot <- rot(0, 0, 90);\nobject a;\n"
+        "assert r.scale.x = 4;\nassert r.rot.y = 90;\n"
+    )
+    out = tmp_path / "pkg"
+    assert run(["pipeline", str(source), "--T", "0", "--out", str(out)]) == 0
+    resolved = resolve_region(read_package(out), "r")
+    for verdict in ("0 explicit satisfied r.scale.x = 4", "1 explicit satisfied r.rot.y = 90"):
+        assert resolved.report_text.count(verdict) == 2  # the solve and the re-solve
 
 
 def test_wall_slabs_in_scene_document():

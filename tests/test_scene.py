@@ -304,8 +304,8 @@ def test_overhanging_object_not_supported():
 
 
 def test_square_room_wall_offsets():
-    room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
-    spec = thicken_walls(room, 0.03)
+    room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)), wall_thickness=0.03)
+    spec = thicken_walls(room)
     assert len(spec.walls) == 4
     south = spec.walls[0]
     assert south.inner_start == (0.0, 0.0) and south.inner_end == (4.0, 0.0)
@@ -318,8 +318,8 @@ def test_square_room_wall_offsets():
 
 
 def test_zero_thickness_walls_are_legal():
-    room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
-    spec = thicken_walls(room, 0.0)
+    room = Region("room", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)), wall_thickness=0.0)
+    spec = thicken_walls(room)
     for wall in spec.walls:
         assert wall.outer_start == pytest.approx(wall.inner_start)
         assert wall.outer_end == pytest.approx(wall.inner_end)
@@ -328,11 +328,11 @@ def test_zero_thickness_walls_are_legal():
 def test_adjacent_rooms_abut_exactly():
     eta = 0.03
     # Rooms separated by a 2*eta gap along x: [0,4] and [4.06, 8.06].
-    left = Region("left", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
+    left = Region("left", ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)), wall_thickness=eta)
     right = Region("right", ((4.0 + 2 * eta, 0.0), (8.0 + 2 * eta, 0.0),
-                             (8.0 + 2 * eta, 4.0), (4.0 + 2 * eta, 4.0)))
-    left_spec = thicken_walls(left, eta)
-    right_spec = thicken_walls(right, eta)
+                             (8.0 + 2 * eta, 4.0), (4.0 + 2 * eta, 4.0)), wall_thickness=eta)
+    left_spec = thicken_walls(left)
+    right_spec = thicken_walls(right)
     left_east = next(w for w in left_spec.walls if w.inner_start == (4.0, 0.0))
     right_west = next(w for w in right_spec.walls if w.inner_end == (4.0 + 2 * eta, 0.0))
     meeting_x = 4.0 + eta
@@ -345,10 +345,10 @@ def test_adjacent_rooms_abut_exactly():
 def test_degenerate_region_rejected():
     collinear = Region("bad", ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
     with pytest.raises(DegenerateRegion):
-        thicken_walls(collinear, 0.03)
+        thicken_walls(collinear)
     clockwise = Region("cw", ((0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (4.0, 0.0)))
     with pytest.raises(DegenerateRegion):
-        thicken_walls(clockwise, 0.03)
+        thicken_walls(clockwise)
 
 
 def test_region_validate_checks_simplicity():

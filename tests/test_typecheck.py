@@ -146,7 +146,7 @@ def test_component_types():
 def test_read_of_a_never_assigned_variable_is_located():
     source = "region room; object a; object b; Number g;\nassert a.pos.x + g < b.pos.x;"
     with pytest.raises(TypeCheckError, match="variable 'g' is read but never assigned") as info:
-        typecheck(parse(source), "room.sthl")
+        typecheck(parse(source, "room.sthl"))
     assert (info.value.line, info.value.column, info.value.filename) == (2, 18, "room.sthl")
 
 

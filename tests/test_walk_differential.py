@@ -85,7 +85,7 @@ PROGRAMS = _programs()
 
 def _checked(check, program):
     try:
-        typed = check(program, "prog.sthl")
+        typed = check(program)
     except SthlError as exc:
         return ("error", type(exc).__name__, exc.message, exc.line, exc.column)
     return ("ok", typed.symbols)
@@ -134,7 +134,7 @@ def test_walkers_agree(index, monkeypatch):
     assert checked == _checked(walk_oracle.typecheck, program)
     if checked[0] == "error":
         return
-    typed = typecheck(program, "prog.sthl")
+    typed = typecheck(program)
     assert infer_region_assignments(typed) == walk_oracle.region_assignments(typed)
 
     for seed in SEEDS:

@@ -319,8 +319,8 @@ class _OracleChecker(_Checker):
         return ValueType.NUMBER
 
 
-def typecheck(program: Program, filename: str = "<sthl>") -> TypedProgram:
-    return _OracleChecker(program, filename).run()
+def typecheck(program: Program) -> TypedProgram:
+    return _OracleChecker(program).run()
 
 
 # ---------------------------------------------------------------------------
