@@ -99,18 +99,18 @@ def _solve(
 
 
 def _asset_decisions(
-    built: SceneLayout, db_path: str | None, tau: float, weights=DEFAULT_WEIGHTS
+    layout: SceneLayout, db_path: str | None, tau: float, weights=DEFAULT_WEIGHTS
 ) -> dict[str, assets_mod.AssetDecision]:
     database = [] if db_path is None else assets_mod.AssetDatabase.load(db_path).entries
     entities = [
         assets_mod.AssetEntity("object", obj.category, obj.color, obj.material, obj.features)
-        for obj in built.objects
+        for obj in layout.objects
     ]
     decisions = assets_mod.decide_all(
         entities, database, tau=tau, weights=weights,
         provider=assets_mod.HashProvider(), generator=assets_mod.StubGenerator(),
     )
-    return {obj.id: decision for obj, decision in zip(built.objects, decisions)}
+    return {obj.id: decision for obj, decision in zip(layout.objects, decisions)}
 
 
 def _decisions_tsv(decisions: dict[str, assets_mod.AssetDecision]) -> str:
@@ -158,7 +158,7 @@ def pipeline(args: argparse.Namespace) -> export_mod.ScenePackage:
     report = _solve(args, built, cs)
     if keep:
         export_mod.write_json(
-            out_dir / DEFAULT_SOLVE_OUT, export_mod.solve_output_document(program, built, report)
+            out_dir / DEFAULT_SOLVE_OUT, export_mod.solve_output_document(program, report)
         )
         for rec in report.iterations:
             export_mod.write_json(
@@ -203,7 +203,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     program, built, cs = _compile(args)
     report = _solve(args, built, cs)
     out = Path(args.out)
-    export_mod.write_json(out, export_mod.solve_output_document(program, built, report))
+    export_mod.write_json(out, export_mod.solve_output_document(program, report))
     if args.report:
         Path(args.report).write_text(render_report(report), encoding="utf-8")
     print(
@@ -226,8 +226,8 @@ def _cmd_assets(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    program, built, report = export_mod.load_solve_output(Path(args.solve_output))
-    _export(args.out, program, report, _asset_decisions(built, args.db, args.tau))
+    program, report = export_mod.load_solve_output(Path(args.solve_output))
+    _export(args.out, program, report, _asset_decisions(report.best_layout, args.db, args.tau))
     print(f"package written to {args.out}", file=sys.stderr)
     return 0
 

@@ -15,8 +15,8 @@ A package directory holds four files:
 - ``report.txt``    solve report with the per-constraint verdict table
 
 A package read back keeps the program it parsed to validate
-``metadata.sthl``; ``ScenePackage.program()``, ``verdicts_for`` and
-``resolve_region`` reuse it instead of parsing the text again.
+``metadata.sthl``; ``ScenePackage.program()``, ``verdicts_for``,
+``resolve_region`` and ``write_package`` reuse it instead of parsing again.
 
 Coordinates are written unchanged in the left-handed convention, so engine
 importers apply no axis flip. ``rotationXZY`` triples are degrees in
@@ -33,6 +33,7 @@ from pathlib import Path
 
 from sthl import scene as scene_mod
 from sthl.assets import AssetDecision
+from sthl.build import build_scene
 from sthl.constraints import (
     CompiledConstraint,
     ConstraintSet,
@@ -150,10 +151,17 @@ class ScenePackage:
     def verdicts_for(self, object_id: str) -> list[tuple[CompiledConstraint, bool]]:
         """Re-evaluate the embedded constraints that involve one object, at
         the seed the solver metadata records."""
-        seed = _solver_config(self.solver_meta).rng_seed
-        cs = compile_constraints(typecheck(self.program()), seed=seed)
+        cs = _constraints(self.program(), _solver_config(self.solver_meta).rng_seed)
         ctx = cs.context(self.to_layout())
         return [(c, evaluate(c, ctx)) for c in cs.touching(object_id)]
+
+
+def _constraints(program: Program, seed: int) -> ConstraintSet:
+    """A program read back, checked as `sthl check` does: the build is the
+    check that makes a value no scene can hold a located BuildError."""
+    typed = typecheck(program)
+    build_scene(typed, seed=seed)
+    return compile_constraints(typed, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +450,10 @@ def _read_transform(doc: dict) -> Transform:
 # Solve output (`sthl solve --out`, read back by `sthl export`)
 
 
-def solve_output_document(program: Program, scene: SceneLayout, report: SolveReport) -> dict:
-    """The solve output of `program`, whose objects and regions as built are
-    `scene`, solved as `report` records."""
+def solve_output_document(program: Program, report: SolveReport) -> dict:
+    """The solve output of `program`, solved as `report` records. Its scene
+    is the best layout without transforms: the objects and regions as built."""
+    scene = report.best_layout
     return {
         "program": print_program(program),
         "config": asdict(report.config),
@@ -483,11 +492,11 @@ def solve_output_document(program: Program, scene: SceneLayout, report: SolveRep
     }
 
 
-def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
-    """Read a file written by `sthl solve --out`: its program, the scene as
-    built, and the report. The report's constraints are the program's at
-    the file's seed, and its verdicts are evaluated here on the best layout
-    the file holds, which may have been edited since `sthl solve` wrote it.
+def load_solve_output(path: Path) -> tuple[Program, SolveReport]:
+    """Read a file written by `sthl solve --out`: its program and the
+    report. The report's constraints are the program's at the file's seed,
+    and its verdicts are evaluated here on the best layout the file holds,
+    which may have been edited since `sthl solve` wrote it.
 
     Invalid JSON, a missing key, a value of the wrong type or not finite, a
     dimension that is not positive, a region polygon that is clockwise or
@@ -517,7 +526,6 @@ def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
         ]
         _check_regions(objects, regions)
         connections = [_read_connection(c) for c in scene.get("connections", [])]
-        built = SceneLayout(regions=regions, objects=objects, connections=connections)
         records = []
         for rec in doc["report"]["iterations"]:
             layout = SceneLayout(
@@ -543,7 +551,7 @@ def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
             raise ValueError(f"bestIndex {best_index!r} names no iteration")
         best_ratio = _number(doc["report"]["bestRatio"])
         terminated = _typed(doc["report"]["terminated"], str)
-    cs = compile_constraints(typecheck(program), seed=cfg.rng_seed)
+    cs = _constraints(program, cfg.rng_seed)
     report = SolveReport(
         iterations=records,
         best_index=best_index,
@@ -554,7 +562,7 @@ def load_solve_output(path: Path) -> tuple[Program, SceneLayout, SolveReport]:
         constraints=cs,
         config=cfg,
     )
-    return program, built, report
+    return program, report
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +637,7 @@ def write_package(pkg: ScenePackage, out_dir: str | Path) -> list[Path]:
     underflows to zero), are a FormatError, the latter naming the object.
     """
     try:
-        parse(pkg.metadata_text)
+        pkg.program()
     except Exception as exc:
         raise FormatError(f"embedded program does not re-parse: {exc}") from exc
 
@@ -792,19 +800,14 @@ def resolve_region(
     if region is None:
         raise KeyError(region_id)
 
-    typed = typecheck(pkg.program())
-    cs = compile_constraints(typed, seed=cfg.rng_seed)
+    cs = _constraints(pkg.program(), cfg.rng_seed)
     layout = pkg.to_layout()
     target_ids = {obj.id for obj in layout.objects if obj.region == region_id}
     scope = target_ids | {region_id} | set(cs.bindings)
-    sub_constraints = [c for c in cs.constraints if c.involved <= scope]
-    sub_cs = ConstraintSet(
-        constraints=sub_constraints,
-        allow_collide=cs.allow_collide,
-        allow_outside=cs.allow_outside,
-        bindings=cs.bindings,
+    sub_cs = replace(
+        cs,
+        constraints=[c for c in cs.constraints if c.involved <= scope],
         region_assignments={k: v for k, v in cs.region_assignments.items() if k in target_ids},
-        region_values=cs.region_values,
     )
     sub_objects = [obj.copy() for obj in layout.objects if obj.id in target_ids]
     for obj in sub_objects:
@@ -836,15 +839,4 @@ def resolve_region(
         + f"# region {region_id} re-solved\n"
         + render_report(report)
     )
-    return ScenePackage(
-        objects=new_objects,
-        regions=list(pkg.regions),
-        connections=list(pkg.connections),
-        manifest=list(pkg.manifest),
-        metadata_text=pkg.metadata_text,
-        report_text=report_text,
-        solver_meta=dict(pkg.solver_meta),
-        lights=list(pkg.lights),
-        snap_reverted=pkg.snap_reverted,
-        _parsed=pkg._parsed,
-    )
+    return replace(pkg, objects=new_objects, report_text=report_text)

@@ -61,6 +61,12 @@ LONG_CHAINS = {
 }
 
 
+def _reassigned(value: str) -> str:
+    """`v` reassigned to `value`, which reads `v`, 1,500 times."""
+    body = f"v <- {value};\n" * 1500
+    return f"Number v;\nv <- 1;\n{body}a.pos <- vec3(v, 0, 0);\nassert v > 0;\n"
+
+
 @pytest.mark.parametrize("body", LONG_CHAINS.values(), ids=LONG_CHAINS.keys())
 def test_fmt_and_json_ast_handle_long_flat_chains(tmp_path, capsys, body):
     # A 5,000-term left-deep chain parses in a loop and prints in a loop;
@@ -85,12 +91,17 @@ def test_fmt_and_json_ast_handle_long_flat_chains(tmp_path, capsys, body):
         # A false operand before each of 100 nested parentheses, so that
         # evaluation descends all of them to the chain inside.
         "assert " + "a.pos.x < -1 || (" * 100 + _OR_CHAIN + ")" * 100 + ";\n",
+        # Freezing substitutes each binding into the next reassignment, so
+        # these are right-deep trees 1,500 and 3,000 levels deep.
+        _reassigned("1 + v"),
+        _reassigned("0.5 * (1 + v)"),
     ],
-    ids=[*LONG_CHAINS, "inside", "nested"],
+    ids=[*LONG_CHAINS, "inside", "nested", "right-deep", "right-deep-mixed"],
 )
 def test_commands_handle_long_flat_chains(tmp_path, capsys, body):
     # Type checking, freezing, compiling, solving and evaluating loop over
-    # a chain of one operator, so its length costs no Python frames.
+    # a chain of one operator, so its length costs no Python frames; an
+    # arithmetic right operand is entered without a call.
     path = tmp_path / "chain.sthl"
     path.write_text("region r;\nobject a;\n" + body)
     assert run(["check", str(path)]) == 0
@@ -790,6 +801,44 @@ def test_type_error_in_an_edited_solve_output_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {out}:14:18: ordering '>' requires numbers, found Color and Number\n"
     )
+
+
+def _edited_solve_output(tmp_path, source: str, edit) -> Path:
+    program = tmp_path / "edited.sthl"
+    program.write_text(source)
+    out = tmp_path / "solve.json"
+    assert run(["solve", str(program), "--T", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["program"] = edit(doc["program"])
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, edit, message",
+    [
+        # A region value that reads a placement: no constraint could be
+        # evaluated on it, and the error used to name no file.
+        (
+            "region r;\nr.scale <- vec3(4, 3, 2);\nobject a;\nassert r.scale.x = 4;\n",
+            lambda text: text.replace("r.scale <- vec3(4, 3, 2);", "r.scale <- r.scale;"),
+            "2:1: assignment must not depend on object placement: identifier 'r' missing from layout",
+        ),
+        # A scale no constraint reads: this used to be packaged.
+        (
+            "region r;\nobject a;\nassert a.pos.x > 1;\n",
+            lambda text: text + "a.scale <- vec3(0, 1, 1);\n",
+            "4:1: a.scale components must be positive, got (0, 1, 1)",
+        ),
+    ],
+    ids=["placement-read", "zero-scale"],
+)
+def test_export_builds_the_program_it_reads(tmp_path, capsys, source, edit, message):
+    out = _edited_solve_output(tmp_path, source, edit)
+    capsys.readouterr()
+    assert run(["export", str(out), "--out", str(tmp_path / "pkg")]) == 1
+    assert capsys.readouterr().err == f"error: {out}:{message}\n"
+    assert not (tmp_path / "pkg").exists()
 
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"

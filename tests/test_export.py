@@ -15,7 +15,7 @@ from sthl.build import build_scene
 from sthl.cli import run
 from sthl.constraints import compile_constraints, satisfaction_ratio
 from sthl.dsl import parse, typecheck
-from sthl.errors import FormatError, IoError, TypeCheckError
+from sthl.errors import BuildError, FormatError, IoError, TypeCheckError
 from sthl.export import (
     assemble,
     read_package,
@@ -403,6 +403,20 @@ def test_type_error_in_an_edited_metadata_names_the_file(livingroom_package, tmp
         with pytest.raises(TypeCheckError) as exc:
             call()
         assert (exc.value.filename, exc.value.line) == (str(path), line)
+
+
+def test_a_value_no_scene_can_hold_in_an_edited_metadata_is_a_build_error(tmp_path):
+    source = tmp_path / "r.sthl"
+    source.write_text("region r;\nr.scale <- vec3(4, 3, 2);\nobject a;\nassert r.scale.x = 4;\n")
+    out = tmp_path / "pkg"
+    assert run(["pipeline", str(source), "--T", "0", "--out", str(out)]) == 0
+    path = out / export.METADATA_FILE
+    path.write_text(path.read_text().replace("r.scale <- vec3(4, 3, 2);", "r.scale <- r.scale;"))
+    pkg = read_package(out)
+    for call in (lambda: resolve_region(pkg, "r"), lambda: pkg.verdicts_for("a")):
+        with pytest.raises(BuildError) as exc:
+            call()
+        assert (exc.value.filename, exc.value.line, exc.value.column) == (str(path), 2, 1)
 
 
 def test_a_package_read_back_reads_a_region_as_stated(tmp_path):
