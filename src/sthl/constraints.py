@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 from sthl import scene
 from sthl.dsl.nodes import (
@@ -451,15 +451,29 @@ def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset(
     if isinstance(node, PropRef):
         return _eval_propref(node, ctx)
     if isinstance(node, Arith):
+        # A right operand that is itself `Arith` is walked in this same loop
+        # while its caller's remaining links wait on `pending`, so a
+        # right-deep tree (a variable reassigned as `v <- 1 + v;`, frozen)
+        # costs no Python frames per level. Operands stay left to right.
+        pending: list[tuple[Value, str, Iterator]] = []  # (left value, op, rest)
         foot, links = chain(node)
         value = _eval_expr(foot, ctx, _stack)
-        for link in links:
-            right = link.right
-            if type(right) is Arith:
-                value = _arith(link.op, value, _eval_right_deep(right, ctx, _stack))
-            else:
+        rest = iter(links)
+        while True:
+            for link in rest:
+                right = link.right
+                if type(right) is Arith:
+                    pending.append((value, link.op, rest))
+                    foot, links = chain(right)
+                    value = _eval_expr(foot, ctx, _stack)
+                    rest = iter(links)
+                    break
                 value = _arith(link.op, value, _eval_expr(right, ctx, _stack))
-        return value
+            else:
+                if not pending:
+                    return value
+                left, op, rest = pending.pop()
+                value = _arith(op, left, value)
     if isinstance(node, Vec3):
         return tuple(_eval_number(part, ctx, _stack) for part in (node.x, node.y, node.z))
     if isinstance(node, Rot):
@@ -470,34 +484,6 @@ def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset(
     if not (isinstance(left, tuple) and isinstance(right, tuple) and len(left) == len(right) == 3):
         raise EvalError("dot requires two Vector3 values")
     return sum(a * b for a, b in zip(left, right))
-
-
-def _eval_right_deep(node: Arith, ctx: EvalContext, _stack: frozenset[str]) -> Value:
-    """`_eval_expr` of an `Arith` right operand. Each right operand that is
-    itself `Arith` is entered through `pending`, not a call, so a right-deep
-    tree (a variable reassigned as `v <- 1 + v;`, frozen) costs no Python
-    frames per level. Operands are still evaluated left to right."""
-    pending: list[tuple[Value, list, int]] = []  # (left value, links, index)
-    foot, links = chain(node)
-    value = _eval_expr(foot, ctx, _stack)
-    i = 0
-    while True:
-        if i == len(links):
-            if not pending:
-                return value
-            left, links, i = pending.pop()
-            value = _arith(links[i].op, left, value)
-            i += 1
-            continue
-        right = links[i].right
-        if type(right) is Arith:
-            pending.append((value, links, i))
-            foot, links = chain(right)
-            value = _eval_expr(foot, ctx, _stack)
-            i = 0
-        else:
-            value = _arith(links[i].op, value, _eval_expr(right, ctx, _stack))
-            i += 1
 
 
 def _arith(op: str, left: Value, right: Value) -> Value:

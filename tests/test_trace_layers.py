@@ -78,4 +78,6 @@ def test_the_resolve_front_end_is_counted_inside_the_resolve(tmp_path):
         for record in spans
         if record[4] >= 0 and spans[record[4]][1] == "export.resolve_region"
     }
+    # The re-solve's build runs through `export.build_scene`, which the
+    # tracer does not wrap yet, so it is not among the spans asserted here.
     assert {"dsl.typecheck", "constraints.compile"} <= inside
