@@ -223,6 +223,9 @@ class Program:
     notes: tuple[str, ...] = field(default=(), compare=False, repr=False)
     #: The source name `parse` was given; every later stage's errors name it.
     filename: str = field(default="<sthl>", compare=False, repr=False)
+    #: The text `parse` read. Only `parse` sets it, so a Program built by
+    #: hand or by `dataclasses.replace` holds None.
+    source: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 #: Child fields of each node type that has children, left to right.

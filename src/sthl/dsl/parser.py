@@ -415,6 +415,8 @@ def parse(source: str, filename: str = "<sthl>") -> Program:
     """Parse source text into a resolved Program.
 
     Raises LexError, ParseError or ResolveError, each carrying the
-    offending line and column.
+    offending line and column. The Program records `source`.
     """
-    return _Parser(scan(source, filename), filename).program()
+    program = _Parser(scan(source, filename), filename).program()
+    object.__setattr__(program, "source", source)
+    return program

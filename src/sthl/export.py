@@ -11,12 +11,19 @@ A package directory holds four files:
   transforms, regions with wall slabs, connections, solver metadata)
 - ``manifest.tsv``  per-object asset rows (uri, verdict, score, native
   extents, base dimensions)
-- ``metadata.sthl`` the canonical program text (always re-parses)
+- ``metadata.sthl`` the canonical program text (it parses: `write_package`
+  checks that it does before writing anything)
 - ``report.txt``    solve report with the per-constraint verdict table
 
-A package read back keeps the program it parsed to validate
-``metadata.sthl``; ``ScenePackage.program()``, ``verdicts_for``,
-``resolve_region`` and ``write_package`` reuse it instead of parsing again.
+``ScenePackage.program()`` is a parse of exactly ``metadata_text``, kept
+with the text it parsed and made again whenever the text differs.
+``assemble`` seeds it when the program's own source (``Program.source``)
+is the text it prints, as for ``sthl fmt`` output and a solve output's
+program, since parsing that text again gives the same program; any other
+text, such as a source using ``entity``, is parsed by ``write_package``'s
+check. A package read back keeps the program it parsed to validate
+``metadata.sthl``; ``verdicts_for``, ``resolve_region`` and
+``write_package`` reuse it instead of parsing again.
 
 Coordinates are written unchanged in the left-handed convention, so engine
 importers apply no axis flip. ``rotationXZY`` triples are degrees in
@@ -227,6 +234,11 @@ def assemble(
     metadata_text = print_program(program)
     report_text = render_report(report)
     cfg = report.config
+    parsed = None
+    if program.source == metadata_text:
+        # A canonical program: `parse(metadata_text)` gives it again, under
+        # the default name. A printed text holds no `entity`, so no notes.
+        parsed = (metadata_text, replace(program, filename="<sthl>"))
     return ScenePackage(
         objects=packaged,
         regions=list(layout.regions),
@@ -243,6 +255,7 @@ def assemble(
             "bestRatio": report.best_ratio,
         },
         snap_reverted=reverted,
+        _parsed=parsed,
     )
 
 
@@ -291,8 +304,89 @@ def _snap_supported(
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write `doc` as every JSON document sthl writes: indented, keys sorted."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write `doc` as every JSON document sthl writes: indented, keys sorted.
+
+    The text is `json.dumps(doc, indent=2, sort_keys=True)` byte for byte.
+    Before Python 3.13 the C encoder ignores `indent`, so `json.dumps` with
+    it runs the pure-Python encoder; `_encode` is the same text for less.
+    """
+    out: list[str] = []
+    _encode(doc, out, "\n")
+    out.append("\n")
+    Path(path).write_text("".join(out), encoding="utf-8")
+
+
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(value, out: list[str], newline: str) -> None:
+    """Append `value` to `out` as `json.dumps(..., indent=2, sort_keys=True)`
+    writes it, `newline` being a line break and the indent it stands at.
+    A float or str item is written in its container's loop; anything else,
+    subclasses included, goes through the checks in `json.dumps`'s order."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        separator = "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            kind = type(item)
+            lead += _escape(key) + ": "
+            if kind is float:
+                text = repr(item)
+                out.append(lead + _NON_FINITE.get(text, text))
+            elif kind is str:
+                out.append(lead + _escape(item))
+            else:
+                out.append(lead)
+                _encode(item, out, inner)
+            lead = separator
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        separator = "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is float:
+                text = repr(item)
+                out.append(lead + _NON_FINITE.get(text, text))
+            elif kind is str:
+                out.append(lead + _escape(item))
+            else:
+                out.append(lead)
+                _encode(item, out, inner)
+            lead = separator
+        out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    """A value that is not a dict, list or tuple, as `json.dumps` writes it."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load_json(path: Path):

@@ -17,6 +17,7 @@ import pytest
 
 from sthl import cli, export, metrics
 from sthl.cli import run
+from sthl.dsl import nodes, parse, print_program
 from sthl.solver import SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,14 @@ if str(ROOT / "bench") not in sys.path:
 import workloads  # noqa: E402
 
 BEDROOM = str(ROOT / "fixtures" / "bedroom.sthl")
+
+
+@pytest.fixture
+def canonical(tmp_path) -> Path:
+    """The bedroom fixture as `sthl fmt` prints it, which prints back to itself."""
+    path = tmp_path / "canonical.sthl"
+    path.write_text(print_program(parse(Path(BEDROOM).read_text(encoding="utf-8"))), encoding="utf-8")
+    return path
 
 
 @pytest.fixture
@@ -58,6 +67,7 @@ def test_eval_parses_both_programs(capsys, parses):
 
 
 def test_pipeline_parses_once_and_guards_the_package_with_one_more(tmp_path, capsys, parses):
+    # bedroom.sthl does not print back to itself, so the guard parses it.
     out = tmp_path / "pkg"
     assert run(["pipeline", BEDROOM, "--T", "0", "--out", str(out)]) == 0
     assert parses == {"sthl.cli": 1, "sthl.export": 1}
@@ -69,3 +79,63 @@ def test_pipeline_parses_once_and_guards_the_package_with_one_more(tmp_path, cap
     parses.clear()
     export.resolve_region(pkg, "bedroom", SolverConfig(max_iterations=0))
     assert parses == {}
+
+
+def test_pipeline_of_a_canonical_program_parses_once(tmp_path, capsys, parses, canonical):
+    out = tmp_path / "pkg"
+    assert run(["pipeline", str(canonical), "--T", "0", "--out", str(out)]) == 0
+    assert parses == {"sthl.cli": 1}
+    assert (out / export.METADATA_FILE).read_text(encoding="utf-8") == canonical.read_text(
+        encoding="utf-8"
+    )
+
+
+def test_export_of_a_solve_output_parses_once(tmp_path, capsys, parses):
+    solve_out = tmp_path / "solve.json"
+    assert run(["solve", BEDROOM, "--T", "0", "--out", str(solve_out)]) == 0
+    parses.clear()
+    assert run(["export", str(solve_out), "--out", str(tmp_path / "pkg")]) == 0
+    assert parses == {"sthl.export": 1}
+
+
+def test_entity_source_is_parsed_again_by_the_guard(tmp_path, capsys, parses, canonical):
+    source = tmp_path / "entity.sthl"
+    source.write_text(
+        canonical.read_text(encoding="utf-8").replace("object ", "entity ", 1), encoding="utf-8"
+    )
+    out = tmp_path / "pkg"
+    assert run(["pipeline", str(source), "--T", "0", "--out", str(out)]) == 0
+    assert parses == {"sthl.cli": 1, "sthl.export": 1}
+    assert (out / export.METADATA_FILE).read_text(encoding="utf-8") == canonical.read_text(
+        encoding="utf-8"
+    )
+
+
+def _spans(program) -> list:
+    """Every node's type and span, statements first, then their children."""
+    out, stack = [], list(reversed(program.statements))
+    while stack:
+        node = stack.pop()
+        out.append((type(node).__name__, node.span))
+        for name in reversed(nodes.CHILD_FIELDS.get(type(node), ())):
+            stack.append(getattr(node, name))
+    return out
+
+
+@pytest.mark.parametrize("source", ["bedroom", "canonical", "entity"])
+def test_package_program_is_the_parse_of_its_metadata(tmp_path, capsys, canonical, source):
+    path = {
+        "bedroom": Path(BEDROOM),
+        "canonical": canonical,
+        "entity": tmp_path / "entity.sthl",
+    }[source]
+    if source == "entity":
+        path.write_text("entity a;\nregion r;\n", encoding="utf-8")
+    args = cli.build_arg_parser().parse_args(
+        ["pipeline", str(path), "--T", "0", "--out", str(tmp_path / "pkg")]
+    )
+    program = cli.pipeline(args).program()
+    expected = parse((tmp_path / "pkg" / export.METADATA_FILE).read_text(encoding="utf-8"))
+    assert program.statements == expected.statements
+    assert _spans(program) == _spans(expected)
+    assert (program.notes, program.filename) == (expected.notes, expected.filename) == ((), "<sthl>")
