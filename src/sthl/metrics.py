@@ -90,15 +90,29 @@ def _harmonic_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(lo > 0, means, 0.0)
 
 
-def _scaled_dots(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> np.ndarray:
+# A matrix product sums in another order than a vector dot product, so its
+# entries may differ from `scaled_dot` by a few ulps; entries this close to 0
+# or to a threshold are recomputed pair by pair so that both decide alike.
+_PAIRWISE_MARGIN = 1e-9
+
+
+def _scaled_dots(
+    rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], tau: float | None = None
+) -> np.ndarray:
     """`scaled_dot` of every row vector against every column vector, from
-    one matrix product."""
+    one matrix product; exactly `scaled_dot` where an entry is near 0 or tau."""
     if not rows or not cols:
         return np.zeros((len(rows), len(cols)))
     shapes = {v.shape for v in rows} | {v.shape for v in cols}
     if len(shapes) > 1:
         raise DimensionError(f"embedding lengths differ: {sorted(shapes)}")
-    return np.clip((np.stack(rows) @ np.stack(cols).T + 1.0) / 2.0, 0.0, 1.0)
+    scores = np.clip((np.stack(rows) @ np.stack(cols).T + 1.0) / 2.0, 0.0, 1.0)
+    near = scores <= _PAIRWISE_MARGIN
+    if tau is not None:
+        near |= np.abs(scores - tau) <= _PAIRWISE_MARGIN
+    for i, j in zip(*np.nonzero(near)):
+        scores[i, j] = scaled_dot(rows[i], cols[j])
+    return scores
 
 
 def _embed_each_once(embedder: Embedder, *sides: Sequence[str]) -> list[list[np.ndarray]]:
@@ -295,7 +309,7 @@ def layout_confidences(
     gen_mentions = _mentions(generated, object_names).astype(float)
     gt_mentions = _mentions(ground_truth, object_names).astype(float)
     shared_name = gen_mentions @ gt_mentions.T > 0
-    scores = _scaled_dots(gen_vecs, gt_vecs)
+    scores = _scaled_dots(gen_vecs, gt_vecs, tau)
     entries = np.where(shared_name & (scores >= tau), scores, 0.0)
     return ConfidenceMatrix(entries, thresholded=True)
 

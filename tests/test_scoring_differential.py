@@ -101,6 +101,14 @@ def test_object_confidences_match_per_pair(gen, gt, embedder):
 @example(
     gen=["chair"] * 3, gt=["chair"] * 2, object_names=["chair"], embedder=TrigramEmbedder(), tau=0.9
 )
+# A text against itself: the matrix product gives 1 - 2**-53, `scaled_dot` 1.
+@example(
+    gen=["", "chair chair 1 living room sofa sofa"],
+    gt=["", "chair chair 1 living room sofa sofa"],
+    object_names=["chair"],
+    embedder=TrigramEmbedder(16),
+    tau=1.0,
+)
 def test_layout_confidences_match_per_pair(gen, gt, object_names, embedder, tau):
     actual = layout_confidences(gen, gt, object_names, embedder, tau)
     expected = oracle.layout_confidences(gen, gt, object_names, embedder, tau)
