@@ -8,7 +8,6 @@ hash-based doubles are included so the whole stage is testable offline.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -360,6 +359,8 @@ class AssetDatabase:
 
 def _unit_hash(*parts: str) -> float:
     """Stable pseudo-score in [0, 1] from text (sha256, not `hash()`)."""
+    import hashlib
+
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
@@ -380,13 +381,18 @@ class HashProvider:
         """Hash each candidate's part of the `visual` text once. The text
         ends with the query, and UTF-8 encodes a concatenation as the
         concatenation of the encodings, so finishing a copy of that state
-        with the query's bytes gives the digest `visual` takes."""
-        prefixes = [
-            hashlib.sha256(
-                "\x1f".join(("visual", self.salt, c.id, c.description, "")).encode("utf-8")
-            )
-            for c in candidates
-        ]
+        with the query's bytes gives the digest `visual` takes. An empty
+        database hashes nothing, so it leaves OpenSSL's `hashlib` unloaded."""
+        prefixes = []
+        if candidates:
+            import hashlib
+
+            prefixes = [
+                hashlib.sha256(
+                    "\x1f".join(("visual", self.salt, c.id, c.description, "")).encode("utf-8")
+                )
+                for c in candidates
+            ]
 
         def scores(query: AssetQuery) -> np.ndarray:
             import numpy as np

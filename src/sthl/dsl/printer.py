@@ -7,8 +7,6 @@ structurally.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from sthl.dsl.nodes import (
     AllowCollide,
     AllowOutside,
@@ -47,7 +45,10 @@ def format_number(value: float) -> str:
     text = repr(value)
     if "e" in text or "E" in text:
         # Expand scientific notation; Decimal(repr) is exact for the
-        # shortest repr so the decimal string still round-trips.
+        # shortest repr so the decimal string still round-trips. Imported
+        # here: no other branch needs `decimal`.
+        from decimal import Decimal
+
         text = format(Decimal(text), "f")
     return text
 

@@ -1,4 +1,10 @@
-"""Random well-typed program generator for round-trip tests."""
+"""Random well-typed program generator for round-trip and end-to-end tests.
+
+Besides arbitrary expressions, it states values a program can build:
+rotated regions (`r.rot <- rot(0, 0, 90);`), positive region scales, and
+variables reassigned from their own value (`v <- 1 + v;`); and its
+expressions read regions' `pos`, `scale` and `rot` as well as objects'.
+"""
 
 from __future__ import annotations
 
@@ -32,7 +38,9 @@ from sthl.dsl.nodes import (
 )
 
 _SCALAR_VARS = (ValueType.NUMBER, ValueType.DEGREE)
+_REASSIGNABLE = (*_SCALAR_VARS, ValueType.VECTOR3)
 _WORDS = ("plush", "matte", "oak", "red", "blue", "soft", "tall", "modern", "warm")
+_YAWS = (0.0, 30.0, 45.0, 90.0, 180.0, 270.0, -90.0, 450.0)
 
 
 class ProgramGenerator:
@@ -42,6 +50,16 @@ class ProgramGenerator:
         self.objects: list[str] = []
         self.regions: list[str] = []
         self.vars: dict[str, ValueType] = {}
+        self.assigned: set[str] = set()  # variables assigned so far
+        self.in_assertion = False  # only an assertion may read a region
+
+    def readable(self) -> list[str]:
+        """Names whose `pos`, `scale` and `rot` an expression may read here.
+        An assertion reads objects and regions. An assignment reads objects
+        only: a stated value must not depend on placement, so such reads
+        stay the build errors they were, and region reads are left to
+        assertions."""
+        return self.objects + self.regions if self.in_assertion else self.objects
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
@@ -68,7 +86,7 @@ class ProgramGenerator:
         options = ["literal"]
         if depth < 3:
             options += ["arith", "arith", "rand", "dot"]
-        if self.objects:
+        if self.readable():
             options += ["prop", "prop"]
         numeric_vars = [n for n, t in self.vars.items() if t in _SCALAR_VARS]
         if numeric_vars:
@@ -79,7 +97,7 @@ class ProgramGenerator:
         if kind == "var":
             return Name(self.rng.choice(numeric_vars))
         if kind == "prop":
-            obj = self.rng.choice(self.objects)
+            obj = self.rng.choice(self.readable())
             prop = self.rng.choice(("pos", "scale", "rot"))
             comp = self.rng.choice(("x", "y", "z"))
             return PropRef(obj, prop, comp)
@@ -92,7 +110,7 @@ class ProgramGenerator:
 
     def vector_expr(self, depth: int = 0) -> Expr:
         options = ["ctor"]
-        if self.objects:
+        if self.readable():
             options += ["prop", "prop"]
         if depth < 2:
             options.append("arith")
@@ -107,7 +125,7 @@ class ProgramGenerator:
                 self.numeric_expr(depth + 1),
             )
         if kind == "prop":
-            obj = self.rng.choice(self.objects)
+            obj = self.rng.choice(self.readable())
             return PropRef(obj, self.rng.choice(("pos", "scale")))
         if kind == "var":
             return Name(self.rng.choice(vec_vars))
@@ -118,8 +136,8 @@ class ProgramGenerator:
         rot_vars = [n for n, t in self.vars.items() if t is ValueType.ROTATION]
         if rot_vars and self.rng.random() < 0.3:
             return Name(self.rng.choice(rot_vars))
-        if self.objects and self.rng.random() < 0.3:
-            return PropRef(self.rng.choice(self.objects), "rot")
+        if self.readable() and self.rng.random() < 0.3:
+            return PropRef(self.rng.choice(self.readable()), "rot")
         return Rot(
             self.numeric_expr(depth + 1),
             self.numeric_expr(depth + 1),
@@ -131,7 +149,11 @@ class ProgramGenerator:
     def comparison(self) -> Compare:
         if self.rng.random() < 0.85:
             op = self.rng.choice(("=", "!=", "<", "<=", ">", ">="))
-            return Compare(op, self.numeric_expr(), self.numeric_expr())
+            self.in_assertion = True
+            try:
+                return Compare(op, self.numeric_expr(), self.numeric_expr())
+            finally:
+                self.in_assertion = False
         op = self.rng.choice(("=", "!="))
         if self.objects and self.rng.random() < 0.5:
             obj = self.rng.choice(self.objects)
@@ -161,12 +183,18 @@ class ProgramGenerator:
         if self.objects:
             choices += ["alpha", "beta"]
         if self.regions:
-            choices.append("region_beta")
+            choices += ["region_beta", "region_stated", "region_stated"]
         if self.vars:
             choices.append("var")
+        if self.assigned & {n for n, t in self.vars.items() if t in _REASSIGNABLE}:
+            choices.append("reassign")
         if not choices:
             return None
         kind = self.rng.choice(choices)
+        if kind == "region_stated":
+            return self.region_assignment(self.rng.choice(self.regions))
+        if kind == "reassign":
+            return self.reassignment()
         if kind == "alpha":
             prop = self.rng.choice(("color", "material", "features"))
             return Assign(self.rng.choice(self.objects), prop, self.string())
@@ -176,6 +204,7 @@ class ProgramGenerator:
             value = self.rotation_expr() if prop == "rot" else self.vector_expr()
             return Assign(target, prop, value)
         name = self.rng.choice(list(self.vars))
+        self.assigned.add(name)
         var_type = self.vars[name]
         if var_type in _SCALAR_VARS:
             value: Expr = self.numeric_expr()
@@ -189,6 +218,46 @@ class ProgramGenerator:
             bools = [n for n, t in self.vars.items() if t is ValueType.BOOL]
             return Assign(name, None, Name(self.rng.choice(bools)))
         return Assign(name, None, value)
+
+    def region_assignment(self, region: str) -> Assign:
+        """A value a region builds with: a yaw-only rotation, a positive
+        scale, or a literal position."""
+        prop = self.rng.choice(("pos", "scale", "rot"))
+        if prop == "rot":
+            zero = NumberLit(0.0)
+            return Assign(region, "rot", Rot(zero, zero, NumberLit(self.rng.choice(_YAWS))))
+        if prop == "scale":
+            size = [round(self.rng.uniform(3, 12), 2) for _ in range(3)]
+            return Assign(region, "scale", Vec3(*map(NumberLit, size)))
+        pos = [round(self.rng.uniform(-5, 5), 2), 0.0, round(self.rng.uniform(-5, 5), 2)]
+        return Assign(region, "pos", Vec3(*map(NumberLit, pos)))
+
+    def reassignment(self) -> Assign:
+        """`v <- e op v` for a number or vector variable assigned before."""
+        name = self.rng.choice(
+            sorted(n for n in self.assigned if self.vars[n] in _REASSIGNABLE)
+        )
+        if self.vars[name] is ValueType.VECTOR3:
+            return Assign(name, None, Arith(self.rng.choice("+-"), self.vector_expr(2), Name(name)))
+        op = self.rng.choice("+-*/")
+        return Assign(name, None, Arith(op, self.numeric_expr(3), Name(name)))
+
+    def assertion_case(self, objects: list[str], region: str) -> Program:
+        """`objects` in one region, a number variable assigned and then
+        reassigned from its own value, up to two stated values of the
+        region, then one assertion over all of them."""
+        self.objects, self.regions = list(objects), [region]
+        self.vars, self.assigned = {"v": ValueType.NUMBER}, {"v"}
+        statements: list[Statement] = [
+            Declare("region", region),
+            *(Declare("object", name) for name in objects),
+            Declare("var", "v", ValueType.NUMBER),
+            Assign("v", None, self.number()),
+            self.reassignment(),
+        ]
+        statements += [self.region_assignment(region) for _ in range(self.rng.randint(0, 2))]
+        statements.append(Assert(self.assertion()))
+        return Program(tuple(statements))
 
     # ------------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from sthl.assets import AssetCandidate, AssetEntity, HashProvider, StubGenerator
 from sthl.build import build_scene
 from sthl.constraints import compile_constraints, evaluate, satisfaction_ratio
 from sthl.dsl import parse, print_program, typecheck
-from sthl.dsl.printer import print_assertion
 from sthl.export import assemble, read_package, resolve_region, write_package
 from sthl.metrics import (
     MatchScores,
@@ -84,14 +83,7 @@ def test_criterion_02_evaluation_matches_naive_interpreter():
         n_objects = rng.randint(1, 5)
         names = [f"obj{i}" for i in range(n_objects)]
         gen = ProgramGenerator(random.Random(rng.randrange(1 << 30)))
-        gen.objects = list(names)
-        gen.regions = ["room"]
-        assertion_src = print_assertion(gen.assertion())
-        source = (
-            "region room; "
-            + " ".join(f"object {n};" for n in names)
-            + f" assert {assertion_src};"
-        )
+        source = print_program(gen.assertion_case(names, "room"))
         cs = compile_constraints(typecheck(parse(source)), seed=case)
         objects = [
             SceneObject(
@@ -110,9 +102,9 @@ def test_criterion_02_evaluation_matches_naive_interpreter():
         ]
         layout = SceneLayout(regions=[room], objects=objects)
         target = cs.constraints[0]
-        expected = eval_assertion(target.assertion, layout, cs.bindings)
+        expected = eval_assertion(target.assertion, layout, cs.bindings, cs.region_values)
         actual = evaluate(target, cs.context(layout))
-        assert actual == expected, f"case {case}: {assertion_src}"
+        assert actual == expected, f"case {case}: {source}"
         agreements += 1
     assert agreements == 1000
     _report(2, "evaluate() agrees with the naive interpreter on 1000/1000 random cases")

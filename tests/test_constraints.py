@@ -20,7 +20,7 @@ from sthl.constraints import (
     infer_region_assignments,
     satisfaction_ratio,
 )
-from sthl.dsl import parse, typecheck
+from sthl.dsl import parse, print_program, typecheck
 from sthl.dsl.nodes import InsidePred
 from sthl.errors import EvalError
 from sthl.scene import Region, SceneLayout, SceneObject, Transform
@@ -281,21 +281,14 @@ def test_evaluate_agrees_with_naive_interpreter_on_random_cases():
     cases = 0
     while cases < 300:
         gen = ProgramGenerator(random.Random(rng.randrange(1 << 30)))
-        gen.objects = [f"obj{i}" for i in range(5)]
-        gen.regions = ["room"]
-        assertion = gen.assertion()
-        source_names = gen.objects
-        program = parse(
-            "region room; "
-            + " ".join(f"object {n};" for n in source_names)
-            + " assert "
-            + __import__("sthl.dsl.printer", fromlist=["print_assertion"]).print_assertion(assertion)
-            + ";"
-        )
+        source_names = [f"obj{i}" for i in range(5)]
+        program = parse(print_program(gen.assertion_case(source_names, "room")))
         cs = compile_constraints(typecheck(program), seed=cases)
         layout = _random_layout(rng, source_names)
         ctx = cs.context(layout)
-        expected = eval_assertion(cs.constraints[0].assertion, layout, cs.bindings)
+        expected = eval_assertion(
+            cs.constraints[0].assertion, layout, cs.bindings, cs.region_values
+        )
         assert evaluate(cs.constraints[0], ctx) == expected
         cases += 1
 

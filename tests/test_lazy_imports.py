@@ -1,13 +1,17 @@
-"""No command loads scipy, and only `eval` and `assets --db` load numpy.
+"""No command loads scipy; only `eval` and `assets --db` load numpy; and
+only asset scoring against a database loads OpenSSL's `hashlib`.
 
 scipy serves only the tests, as the oracle of `metrics.hungarian_assign`,
 so no module under `src/sthl` may import it. Importing numpy costs about
 as much as importing the rest of the toolchain, while no command on the
 solve path needs it, so those commands must start and run without it, and
 `import sthl.cli` loads the toolchain's own modules and the standard
-library's, nothing else. Each check of loaded modules runs in a fresh
-interpreter: in this process an earlier test may already have imported
-numpy and scipy.
+library's, nothing else. `hashlib` maps OpenSSL's libcrypto (about 3.5 MB
+of resident memory) and `decimal` serves only the printing of a number
+whose shortest repr is in scientific notation, so neither loads on the
+solve path or with `import sthl.cli`. Each check of loaded modules runs in
+a fresh interpreter: in this process an earlier test may already have
+imported any of them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,18 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+# Native modules only a command that scores a database, or prints a number
+# in scientific notation, needs.
+LAZY_STDLIB = ("hashlib", "_hashlib", "decimal", "_decimal")
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_decimal():
+    code = "import sys, sthl.cli\nprint(sorted(m for m in sys.modules if m in %r))" % (
+        LAZY_STDLIB,
+    )
+    assert _fresh_python("-c", code).stdout == "[]\n"
+
+
 def test_importing_the_toolchain_does_not_load_scipy():
     """Nor anything else outside the standard library: only sthl's modules."""
     code = (
@@ -67,13 +83,13 @@ def test_importing_the_toolchain_does_not_load_scipy():
 
 # Every command but `eval` and `assets --db`, then a package read back and
 # one region re-solved, in one fresh interpreter; then the numpy and scipy
-# modules it loaded.
+# modules it loaded, and which of LAZY_STDLIB (passed as the third argument).
 NUMPY_FREE_RUN = """\
 import contextlib, io, sys
 from sthl.cli import run
 from sthl.export import read_package, resolve_region
 
-bedroom, livingroom = sys.argv[1:3]
+bedroom, livingroom, lazy_stdlib = sys.argv[1:4]
 commands = [
     ["fmt", livingroom],
     ["check", livingroom],
@@ -89,16 +105,17 @@ pkg = read_package("pkg")
 for region in sorted({o.region for o in pkg.objects}):
     resolve_region(pkg, region)
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+print(sorted(m for m in sys.modules if m in lazy_stdlib.split(",")))
 """
 
 
 def test_numpy_free_commands_run_without_numpy(tmp_path):
     done = _fresh_python(
         "-c", NUMPY_FREE_RUN,
-        str(FIXTURES / "bedroom.sthl"), str(FIXTURES / "livingroom.sthl"),
+        str(FIXTURES / "bedroom.sthl"), str(FIXTURES / "livingroom.sthl"), ",".join(LAZY_STDLIB),
         cwd=tmp_path,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
 
 
 # `python -m sthl.cli eval ...`, then the scipy modules it loaded.
