@@ -32,14 +32,13 @@ import math
 
 from sthl.constraints import (
     REGION_DEFAULTS,
-    EvalContext,
-    evaluate_expression,
     freeze_program,
     infer_region_assignments,
+    literal_value,
 )
-from sthl.dsl.nodes import CHILD_FIELDS, Assert, Assign, Declare, Expr, Name, Span, idents
+from sthl.dsl.nodes import CHILD_FIELDS, Assert, Assign, Declare, Expr, Name, PropRef, Span, idents
 from sthl.dsl.typecheck import TypedProgram
-from sthl.errors import BuildError, DegenerateRegion, EvalError
+from sthl.errors import BuildError, DegenerateRegion
 from sthl.scene import Region, SceneLayout, SceneObject, Transform, WALL_THICKNESS
 
 
@@ -47,32 +46,36 @@ def _category_from_id(name: str) -> str:
     return name.replace("_", " ")
 
 
-def _evaluate_literal(stmt: Assign, filename: str):
-    """Evaluate a frozen assignment value, which must not read the layout."""
-    ctx = EvalContext(SceneLayout())
-    try:
-        return evaluate_expression(stmt.value, ctx)
-    except EvalError as exc:
-        read = _unassigned_read(stmt.value)
-        if read is not None:
-            message = f"reads variable {read.ident!r} before it is assigned"
-            line, column = read.span
-            raise BuildError(f"{stmt.target}.{stmt.prop} {message}", line, column, filename) from None
-        message = f"assignment must not depend on object placement: {exc}"
-        raise BuildError(message, stmt.span.line, stmt.span.column, filename) from None
-
-
-def _unassigned_read(value: Expr) -> Name | None:
-    """The first variable a frozen value still names: `freeze_program`
-    substitutes every variable assigned before the value, so this one was
-    not assigned where it is read."""
+def _first_read(value: Expr, versions: dict[str, Name | PropRef]) -> Name | PropRef:
+    """What keeps a frozen value from being a literal: its first read, left
+    to right, of a variable not assigned where it is read, else its first
+    placement read. A version it names reads what `versions` holds for it;
+    any other name was not yet assigned (`freeze_program`)."""
+    unassigned = placement = None
     stack = [value]
     while stack:
         node = stack.pop()
         if type(node) is Name:
-            return node
-        stack.extend(getattr(node, f) for f in reversed(CHILD_FIELDS.get(type(node), ())))
-    return None
+            node = versions.get(node.ident, node)  # else not assigned where read
+        if type(node) is Name:
+            unassigned = unassigned or node
+        elif type(node) is PropRef:
+            placement = placement or node
+        else:
+            stack.extend(getattr(node, f) for f in reversed(CHILD_FIELDS.get(type(node), ())))
+    return unassigned or placement  # type: ignore[return-value]
+
+
+def _unbuildable(stmt: Assign, read: Name | PropRef, filename: str) -> BuildError:
+    """The error of a property assignment whose value `read` keeps from being a literal."""
+    if type(read) is Name:
+        message = f"{stmt.target}.{stmt.prop} reads variable {read.ident!r} before it is assigned"
+        return BuildError(message, read.span.line, read.span.column, filename)
+    message = (
+        "assignment must not depend on object placement: "
+        f"identifier {read.obj!r} missing from layout"  # type: ignore[union-attr]
+    )
+    return BuildError(message, stmt.span.line, stmt.span.column, filename)
 
 
 def _check_binding_cycles(typed: TypedProgram, filename: str) -> None:
@@ -126,6 +129,7 @@ def build_scene(
     object_props: dict[str, dict[str, object]] = {}
     region_props: dict[str, dict[str, object]] = {}
     assigned_at: dict[tuple[str, str], Span] = {}  # the assignment that holds
+    versions: dict[str, Name | PropRef] = {}  # each version not a literal -> `_first_read`
 
     for stmt in freeze_program(typed, seed):
         if isinstance(stmt, Declare):
@@ -133,8 +137,13 @@ def build_scene(
                 object_props[stmt.name] = {}
             elif stmt.kind == "region":
                 region_props[stmt.name] = {}
-        elif isinstance(stmt, Assign) and stmt.prop is not None:
-            value = _evaluate_literal(stmt, filename)
+        elif isinstance(stmt, Assign) and stmt.prop is None:
+            if literal_value(stmt.value) is None:
+                versions[stmt.target] = _first_read(stmt.value, versions)
+        elif isinstance(stmt, Assign):
+            value = literal_value(stmt.value)
+            if value is None:
+                raise _unbuildable(stmt, _first_read(stmt.value, versions), filename)
             assigned_at[stmt.target, stmt.prop] = stmt.span
             if stmt.target in object_props:
                 object_props[stmt.target][stmt.prop] = value

@@ -12,8 +12,8 @@ gravity support, and per-object region containment.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass, field, replace
+from typing import Union
 
 from sthl import scene
 from sthl.dsl.nodes import (
@@ -83,6 +83,8 @@ class CompiledConstraint:
     assertion: CompiledAssertion
     provenance: str
     involved: frozenset[str]
+    #: The variable versions in `involved` that `_version_order` ranks, in its order.
+    versions: tuple[str, ...] = ()
 
 
 @dataclass
@@ -90,7 +92,8 @@ class ConstraintSet:
     constraints: list[CompiledConstraint]
     allow_collide: frozenset[tuple[str, str]]  # pairs stored sorted
     allow_outside: frozenset[str]
-    #: Frozen value expressions of typed variables (last assignment wins).
+    #: Frozen value of each variable version (`freeze_program`): a
+    #: variable's last version under its name, earlier ones as `name#index`.
     bindings: dict[str, Expr] = field(default_factory=dict)
     #: object id -> region id used for the hidden boundary constraints.
     region_assignments: dict[str, str] = field(default_factory=dict)
@@ -213,14 +216,17 @@ def compile_constraints(typed: TypedProgram, seed: int = 0) -> ConstraintSet:
         elif isinstance(stmt, Assign) and stmt.target in region_values:
             region_values[stmt.target][stmt.prop] = stmt.value
 
+    rank = _version_order(env)
     constraints: list[CompiledConstraint] = []
     for assertion in explicit:
+        involved = frozenset(_involved(assertion, env))
         constraints.append(
             CompiledConstraint(
                 id=len(constraints),
                 assertion=assertion,
                 provenance=PROVENANCE_EXPLICIT,
-                involved=frozenset(_involved(assertion, env)),
+                involved=involved,
+                versions=tuple(sorted(rank.keys() & involved, key=rank.__getitem__)),
             )
         )
 
@@ -289,15 +295,37 @@ def _involved(assertion: CompiledAssertion, bindings: dict[str, Expr]) -> set[st
     return names
 
 
+def _version_order(bindings: dict[str, Expr]) -> dict[str, int]:
+    """Each version's rank in an order that puts it after every version its
+    value names. A version on a binding cycle, or reading one, has none."""
+    waiting = {key: idents(value) & bindings.keys() for key, value in bindings.items()}
+    readers: dict[str, list[str]] = {}
+    for key, names in waiting.items():
+        for name in names:
+            readers.setdefault(name, []).append(key)
+    ready = [key for key, names in waiting.items() if not names]
+    rank: dict[str, int] = {}
+    for key in ready:  # grows as ranking a version readies its readers
+        rank[key] = len(rank)
+        for reader in readers.get(key, ()):
+            waiting[reader].discard(key)
+            if not waiting[reader]:
+                ready.append(reader)
+    return rank
+
+
 def freeze_program(typed: TypedProgram, seed: int = 0) -> tuple[Statement, ...]:
     """The program's statements with every `rand` drawn, the one definition
     that the built scene and the constraints both read.
 
     One `random.Random(seed)` serves the whole program, drawing in statement
     order (within an expression, bounds before their `rand`, left to right).
-    Assignment values, to variables and to properties, have earlier variable
-    bindings substituted; assertion conditions keep variable names, which
-    evaluate through `ConstraintSet.bindings`.
+    Each assignment to a variable defines a version of it, named `name` if
+    it is the last and `name#index` (its statement's index) if not. An
+    assignment value names the version live at its statement, or the
+    variable (its last version) where none is; it is folded to a literal
+    when it reads no placement and no version that is not one. Assertion
+    conditions keep variable names, so they read last versions.
 
     The draw is made once per typed program and seed (`TypedProgram.frozen`
     keeps it), so `build_scene` and `compile_constraints` read the same
@@ -311,26 +339,36 @@ def freeze_program(typed: TypedProgram, seed: int = 0) -> tuple[Statement, ...]:
 
 def _freeze(statements: tuple[Statement, ...], seed: int) -> tuple[Statement, ...]:
     rng = random.Random(seed)
-    env: dict[str, Expr] = {}
+    last = {
+        stmt.target: index
+        for index, stmt in enumerate(statements)
+        if isinstance(stmt, Assign) and stmt.prop is None
+    }
+    live: dict[str, Expr] = {}  # variable -> its live version's literal, or a Name of it
     frozen: list[Statement] = []
-    for stmt in statements:
+    for index, stmt in enumerate(statements):
         if isinstance(stmt, Assign):
-            stmt = rebuild(stmt, [_freeze_node(stmt.value, env, rng, substitute=True)])
+            value = _fold(_freeze_node(stmt.value, live, rng))
             if stmt.prop is None:
-                env[stmt.target] = stmt.value
+                key = stmt.target if last[stmt.target] == index else f"{stmt.target}#{index}"
+                folded = literal_value(value) is not None
+                live[stmt.target] = value if folded else Name(key, span=stmt.span)
+                stmt = replace(stmt, target=key, value=value)
+            else:
+                stmt = rebuild(stmt, [value])
         elif isinstance(stmt, Assert):
-            stmt = rebuild(stmt, [_freeze_node(stmt.condition, env, rng)])
+            stmt = rebuild(stmt, [_freeze_node(stmt.condition, {}, rng)])
         frozen.append(stmt)
     return tuple(frozen)
 
 
-def _freeze_node(node, env: dict[str, Expr], rng: random.Random, substitute: bool = False):
+def _freeze_node(node, env: dict[str, Expr], rng: random.Random):
     """An expression or assertion with every `rand` drawn, left to right,
-    and, under `substitute`, every variable replaced by its binding in `env`."""
+    and every variable that `env` holds replaced by what it holds."""
     kind = type(node)
     if kind is Rand:
-        low = _freeze_node(node.low, env, rng, substitute)
-        high = _freeze_node(node.high, env, rng, substitute)
+        low = _freeze_node(node.low, env, rng)
+        high = _freeze_node(node.high, env, rng)
         if isinstance(low, NumberLit) and isinstance(high, NumberLit):
             return NumberLit(rng.uniform(low.value, high.value), span=node.span)
         # Bounds depending on layout properties cannot be frozen; sample the
@@ -343,35 +381,66 @@ def _freeze_node(node, env: dict[str, Expr], rng: random.Random, substitute: boo
             span=node.span,
         )
     if kind is Name:
-        return env.get(node.ident, node) if substitute else node
+        return env.get(node.ident, node)
     if kind is Arith or kind is And or kind is Or:
         foot, links = chain(node)
-        out = _freeze_node(foot, env, rng, substitute)
+        out = _freeze_node(foot, env, rng)
         for link in links:
-            out = rebuild(link, (out, _freeze_node(link.right, env, rng, substitute)))
+            out = rebuild(link, (out, _freeze_node(link.right, env, rng)))
         return out
     fields = CHILD_FIELDS.get(kind)
     if fields is None:
         return node
-    return rebuild(
-        node, [_freeze_node(getattr(node, f), env, rng, substitute) for f in fields]
-    )
+    return rebuild(node, [_freeze_node(getattr(node, f), env, rng) for f in fields])
+
+
+def _fold(node: Expr) -> Expr:
+    """`node` as a literal if it reads no variable and no placement."""
+    if literal_value(node) is not None or idents(node):
+        return node
+    value = _eval_expr(node, None, _NO_VERSIONS)  # type: ignore[arg-type]  # reads no context
+    if isinstance(value, tuple):
+        return (Rot if type(node) is Rot else Vec3)(*map(NumberLit, value), span=node.span)
+    return (StringLit if isinstance(value, str) else NumberLit)(value, span=node.span)
+
+
+def literal_value(node: Expr) -> Value | None:
+    """The value a literal states (a number, a string, or a `vec3` or `rot`
+    of numbers), or None when `node` is not one."""
+    kind = type(node)
+    if kind is NumberLit or kind is StringLit:
+        return node.value  # type: ignore[union-attr]
+    if kind is Vec3 or kind is Rot:
+        parts = [getattr(node, f) for f in CHILD_FIELDS[kind]]
+        if all(type(part) is NumberLit for part in parts):
+            return tuple(part.value for part in parts)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 Value = Union[float, str, tuple]
-
-
-def evaluate_expression(expr: Expr, ctx: "EvalContext") -> Value:
-    """Evaluate one expression tree against a context."""
-    return _eval_expr(expr, ctx)
+#: Variable version -> its value, or the EvalError evaluating it raised.
+VersionValues = dict[str, Union[Value, EvalError]]
+_NO_VERSIONS: VersionValues = {}  # read, never written
 
 
 def evaluate(constraint: CompiledConstraint, ctx: EvalContext) -> bool:
-    """Truth value of one compiled constraint against the context's layout."""
-    return _eval_assertion(constraint.assertion, ctx)
+    """Truth value of one compiled constraint against the context's layout.
+    Each variable version it reads is evaluated once, in `versions` order;
+    one that fails holds its EvalError, raised where a read reaches it, as
+    evaluating it there would raise it."""
+    values = _NO_VERSIONS
+    if constraint.versions:
+        values = {}
+        for key in constraint.versions:
+            if key in ctx.bindings:
+                try:
+                    values[key] = _eval_expr(ctx.bindings[key], ctx, values)
+                except EvalError as exc:
+                    values[key] = exc
+    return _eval_assertion(constraint.assertion, ctx, values)
 
 
 def satisfaction_ratio(cs: ConstraintSet, ctx: EvalContext) -> float:
@@ -381,7 +450,7 @@ def satisfaction_ratio(cs: ConstraintSet, ctx: EvalContext) -> float:
     return sum(evaluate(c, ctx) for c in cs.constraints) / len(cs.constraints)
 
 
-def _eval_assertion(node: CompiledAssertion, ctx: EvalContext) -> bool:
+def _eval_assertion(node: CompiledAssertion, ctx: EvalContext, values: VersionValues) -> bool:
     if isinstance(node, NoCollision):
         layout = ctx.layout
         return not scene.collides(_object(layout, node.first), _object(layout, node.second))
@@ -395,19 +464,21 @@ def _eval_assertion(node: CompiledAssertion, ctx: EvalContext) -> bool:
         return scene.inside(_object(ctx.layout, node.inner), region)
     if isinstance(node, (And, Or)):
         foot, links = chain(node)
-        value = _eval_assertion(foot, ctx)
+        value = _eval_assertion(foot, ctx, values)
         # A chain of one operator is decided by the first false operand of
         # `&&` or the first true one of `||`; later operands are not read.
         undecided = isinstance(node, And)
         for link in links:
             if bool(value) is not undecided:
                 break
-            value = _eval_assertion(link.right, ctx)
+            value = _eval_assertion(link.right, ctx, values)
         return value
     if isinstance(node, Not):
-        return not _eval_assertion(node.operand, ctx)
+        return not _eval_assertion(node.operand, ctx, values)
     assert isinstance(node, Compare)
-    return _compare(node.op, _eval_expr(node.left, ctx), _eval_expr(node.right, ctx))
+    return _compare(
+        node.op, _eval_expr(node.left, ctx, values), _eval_expr(node.right, ctx, values)
+    )
 
 
 def _object(layout: scene.SceneLayout, name: str) -> scene.SceneObject:
@@ -437,50 +508,35 @@ def _compare(op: str, left: Value, right: Value) -> bool:
     raise EvalError(f"ordering comparison {op!r} on non-numbers")
 
 
-def _eval_expr(node: Expr, ctx: EvalContext, _stack: frozenset[str] = frozenset()) -> Value:
+def _eval_expr(node: Expr, ctx: EvalContext, values: VersionValues) -> Value:
     if isinstance(node, NumberLit):
         return node.value
     if isinstance(node, StringLit):
         return node.value
     if isinstance(node, Name):
-        if node.ident in _stack:
-            raise EvalError(f"circular binding for variable {node.ident!r}")
-        if node.ident not in ctx.bindings:
+        value = values.get(node.ident)
+        if value is None:
+            if node.ident in ctx.bindings:
+                raise EvalError(f"circular binding for variable {node.ident!r}")
             raise EvalError(f"variable {node.ident!r} was never assigned")
-        return _eval_expr(ctx.bindings[node.ident], ctx, _stack | {node.ident})
+        if isinstance(value, EvalError):
+            raise value
+        return value
     if isinstance(node, PropRef):
         return _eval_propref(node, ctx)
     if isinstance(node, Arith):
-        # A right operand that is itself `Arith` is walked in this same loop
-        # while its caller's remaining links wait on `pending`, so a
-        # right-deep tree (a variable reassigned as `v <- 1 + v;`, frozen)
-        # costs no Python frames per level. Operands stay left to right.
-        pending: list[tuple[Value, str, Iterator]] = []  # (left value, op, rest)
         foot, links = chain(node)
-        value = _eval_expr(foot, ctx, _stack)
-        rest = iter(links)
-        while True:
-            for link in rest:
-                right = link.right
-                if type(right) is Arith:
-                    pending.append((value, link.op, rest))
-                    foot, links = chain(right)
-                    value = _eval_expr(foot, ctx, _stack)
-                    rest = iter(links)
-                    break
-                value = _arith(link.op, value, _eval_expr(right, ctx, _stack))
-            else:
-                if not pending:
-                    return value
-                left, op, rest = pending.pop()
-                value = _arith(op, left, value)
+        value = _eval_expr(foot, ctx, values)
+        for link in links:
+            value = _arith(link.op, value, _eval_expr(link.right, ctx, values))
+        return value
     if isinstance(node, Vec3):
-        return tuple(_eval_number(part, ctx, _stack) for part in (node.x, node.y, node.z))
+        return tuple(_eval_number(part, ctx, values) for part in (node.x, node.y, node.z))
     if isinstance(node, Rot):
-        return tuple(_eval_number(part, ctx, _stack) for part in (node.rx, node.rz, node.ry))
+        return tuple(_eval_number(part, ctx, values) for part in (node.rx, node.rz, node.ry))
     assert isinstance(node, Dot)
-    left = _eval_expr(node.left, ctx, _stack)
-    right = _eval_expr(node.right, ctx, _stack)
+    left = _eval_expr(node.left, ctx, values)
+    right = _eval_expr(node.right, ctx, values)
     if not (isinstance(left, tuple) and isinstance(right, tuple) and len(left) == len(right) == 3):
         raise EvalError("dot requires two Vector3 values")
     return sum(a * b for a, b in zip(left, right))
@@ -509,8 +565,8 @@ def _arith(op: str, left: Value, right: Value) -> Value:
     return left / right
 
 
-def _eval_number(node: Expr, ctx: EvalContext, _stack: frozenset[str]) -> float:
-    value = _eval_expr(node, ctx, _stack)
+def _eval_number(node: Expr, ctx: EvalContext, values: VersionValues) -> float:
+    value = _eval_expr(node, ctx, values)
     if not isinstance(value, float):
         raise EvalError("expected a number component")
     return value
@@ -553,13 +609,12 @@ def _eval_propref(node: PropRef, ctx: EvalContext) -> Value:
     if node.prop not in REGION_DEFAULTS:
         raise EvalError(f"region {node.obj!r} has no property {node.prop!r}")
     # A region reads as the program states it, not as its polygon's bounds,
-    # which differ once it is rotated: the value `build_scene` evaluates,
-    # which reads neither the layout nor a variable binding.
+    # which differ once it is rotated: the literal `build_scene` builds it
+    # from, which reads neither the layout nor a variable.
     stated = ctx.region_values.get(node.obj, {}).get(node.prop)
-    if stated is None:
-        value = REGION_DEFAULTS[node.prop]
-    else:
-        value = _eval_expr(stated, EvalContext(scene.SceneLayout()))
+    value = REGION_DEFAULTS[node.prop] if stated is None else literal_value(stated)
+    if value is None:
+        raise EvalError(f"region {node.obj!r} {node.prop} reads a placement or a later variable")
     if node.component is None:
         return value
     return value[_COMPONENT_INDEX[node.prop][node.component]]

@@ -252,7 +252,7 @@ def _rotation_axes(rot: Vec) -> tuple[Vec, Vec, Vec]:
     )
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)  # about 1.6 MB of boxes; each object also keeps its own
 def _oriented_box(dimensions: Vec, scale: Vec, rot: Vec, pos: Vec) -> OrientedBox:
     half = tuple(d * s / 2.0 for d, s in zip(dimensions, scale))
     return OrientedBox(pos, _rotation_axes(rot), half)  # type: ignore[arg-type]

@@ -2,8 +2,10 @@
 
 Besides arbitrary expressions, it states values a program can build:
 rotated regions (`r.rot <- rot(0, 0, 90);`), positive region scales, and
-variables reassigned from their own value (`v <- 1 + v;`); and its
-expressions read regions' `pos`, `scale` and `rot` as well as objects'.
+variables reassigned from their own value, also inside `dot` and `vec3`
+(`v <- 1 + v;`, `v <- dot(vec3(v, 0, 0), vec3(1, 0, 0));`,
+`w <- vec3(dot(w, vec3(1, 0, 0)), 0, 0);`); and its expressions read
+regions' `pos`, `scale` and `rot` as well as objects'.
 """
 
 from __future__ import annotations
@@ -233,28 +235,45 @@ class ProgramGenerator:
         return Assign(region, "pos", Vec3(*map(NumberLit, pos)))
 
     def reassignment(self) -> Assign:
-        """`v <- e op v` for a number or vector variable assigned before."""
+        """`v <- e op v`, `v <- dot(vec3(v, e, e), u)` or, for a vector,
+        `v <- vec3(dot(v, u), e, e)` (`e` a number and `u` a vector
+        expression), for a number or vector variable assigned before."""
         name = self.rng.choice(
             sorted(n for n in self.assigned if self.vars[n] in _REASSIGNABLE)
         )
+        own = Name(name)
+        if self.rng.random() < 0.5:
+            if self.vars[name] is ValueType.VECTOR3:
+                read: Expr = Dot(own, self.vector_expr(2))
+                return Assign(name, None, Vec3(read, self.numeric_expr(3), self.numeric_expr(3)))
+            vector = Vec3(own, self.numeric_expr(3), self.numeric_expr(3))
+            return Assign(name, None, Dot(vector, self.vector_expr(2)))
         if self.vars[name] is ValueType.VECTOR3:
-            return Assign(name, None, Arith(self.rng.choice("+-"), self.vector_expr(2), Name(name)))
+            return Assign(name, None, Arith(self.rng.choice("+-"), self.vector_expr(2), own))
         op = self.rng.choice("+-*/")
-        return Assign(name, None, Arith(op, self.numeric_expr(3), Name(name)))
+        return Assign(name, None, Arith(op, self.numeric_expr(3), own))
 
     def assertion_case(self, objects: list[str], region: str) -> Program:
-        """`objects` in one region, a number variable assigned and then
-        reassigned from its own value, up to two stated values of the
-        region, then one assertion over all of them."""
+        """`objects` in one region; a number variable `u` that reads `v`
+        before `v` is assigned, so it reads `v`'s last value; `v` assigned
+        a number or an object's placement, then reassigned from its own
+        value; up to two stated values of the region; then one assertion
+        over all of them."""
         self.objects, self.regions = list(objects), [region]
+        self.vars, self.assigned = {}, set()
+        first = self.numeric_expr(3)  # reads no variable
         self.vars, self.assigned = {"v": ValueType.NUMBER}, {"v"}
+        forward = Arith(self.rng.choice("+-*/"), self.numeric_expr(3), Name("v"))
         statements: list[Statement] = [
             Declare("region", region),
             *(Declare("object", name) for name in objects),
             Declare("var", "v", ValueType.NUMBER),
-            Assign("v", None, self.number()),
+            Declare("var", "u", ValueType.NUMBER),
+            Assign("u", None, forward),
+            Assign("v", None, first),
             self.reassignment(),
         ]
+        self.vars["u"] = ValueType.NUMBER  # read only after `v`'s values, so no cycle
         statements += [self.region_assignment(region) for _ in range(self.rng.randint(0, 2))]
         statements.append(Assert(self.assertion()))
         return Program(tuple(statements))

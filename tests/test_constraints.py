@@ -218,6 +218,24 @@ def test_unassigned_variable_eval_error():
         evaluate(cs.constraints[0], ctx)
 
 
+@pytest.mark.parametrize(
+    "cycle", ["p <- q; q <- p;", "p <- q + 1; v <- p; v <- v * 2; q <- v;", "p <- p + 1;"]
+)
+def test_a_binding_cycle_read_without_a_build_is_an_eval_error(cycle):
+    # `build_scene` rejects these programs; `compile_constraints` alone, as
+    # `metrics.solution_correctness` runs it, compiles them.
+    cs = compiled(
+        "region room; object a; Number p; Number q; Number v; Number w;\n"
+        f"{cycle} w <- a.pos.x; assert a.pos.x > 1 || p > 0; assert w > 1;"
+    )
+    placed = cs.context(simple_layout(SceneObject("a", transform=Transform(pos=(5.0, 0.5, 5.0)))))
+    assert evaluate(cs.constraints[0], placed) is True  # `||` never reads `p`
+    assert evaluate(cs.constraints[1], placed) is True
+    low = cs.context(simple_layout(SceneObject("a", transform=Transform(pos=(0.5, 0.5, 5.0)))))
+    with pytest.raises(EvalError, match="^circular binding for variable 'p'$"):
+        evaluate(cs.constraints[0], low)
+
+
 def test_hidden_predicates_delegate_to_scene():
     cs = compiled("region room; object a; object b;")
     a = SceneObject("a", transform=Transform(pos=(1.0, 0.5, 1.0)))

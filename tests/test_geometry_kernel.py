@@ -8,6 +8,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from geom_oracles import box_reference, corner_inside_oracle, grid_collides, sat_reference
+from scenegen import generate_fixture
+from sthl.cli import run
 from sthl.scene import (
     Region,
     SceneObject,
@@ -388,3 +390,21 @@ def test_bounds_reject_only_pairs_the_sat_reference_calls_apart(
     if apart:
         assert sat_reference(world_box(a), world_box(b))[0] <= _EPS
         assert not collides(a, b)
+
+
+def test_the_box_cache_stays_bounded_over_many_pipelines(tmp_path, capsys):
+    """A long-lived process builds more boxes than `_oriented_box` keeps,
+    and it keeps no more than its bound."""
+    _oriented_box.cache_clear()
+    for seed in range(40):
+        if _oriented_box.cache_info().misses > 2 * 1024:
+            break
+        path = tmp_path / "scene.sthl"
+        path.write_text(generate_fixture(seed, 16).source)
+        argv = ["pipeline", str(path), "--T", "0", "--seed", str(seed), "--out", str(tmp_path / "pkg")]
+        assert run(argv) == 0
+    info = _oriented_box.cache_info()
+    assert info.misses > 2 * 1024
+    assert info.maxsize == 1024
+    assert info.currsize <= info.maxsize
+    _oriented_box.cache_clear()

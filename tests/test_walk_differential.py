@@ -2,13 +2,17 @@
 freeze, region assignment, `involved`, type checking and evaluation use
 it, against the former recursive walkers kept in `walk_oracle.py`.
 
-On every program both must give equal frozen statements, spans included,
-and leave the freeze's random generator in the same state; equal
-`involved` sets and region assignments; the same type-check result or the
-same error class, message, line and column; and, on a placed layout, the
-same verdict or `EvalError` for every constraint with the same number of
-`scene.inside` calls, so the order and the short-circuit of `&&` and `||`
-agree too.
+On every program both freezes must leave their random generator in the
+same state and give equal statements, spans included, except that an
+assignment of the versioned freeze (`sthl.constraints.freeze_program`)
+names each earlier variable version where the substituting freeze of
+`walk_oracle` copies it, and is a literal where that copy reads no name
+and no placement, stating exactly the value the copy evaluates to. Both
+must also give equal `involved` sets and region assignments; the same
+type-check result or the same error class, message, line and column; and,
+on a placed layout, the same verdict or `EvalError` for every constraint
+with the same number of `scene.inside` calls, so the order and the
+short-circuit of `&&` and `||` agree too.
 
 Inputs are the grammar corpus and README fixtures, `scenegen` scenes, the
 benchmark's house and authoring programs, `astgen` programs, and a few
@@ -17,6 +21,7 @@ programs whose chains tell a reversed loop or a dropped short-circuit apart.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import types
@@ -29,8 +34,14 @@ from astgen import random_program
 from scenegen import generate_fixture
 from sthl import constraints, scene
 from sthl.build import build_scene
-from sthl.constraints import compile_constraints, evaluate, infer_region_assignments
+from sthl.constraints import (
+    compile_constraints,
+    evaluate,
+    infer_region_assignments,
+    literal_value,
+)
 from sthl.dsl import Program, parse, print_program, typecheck
+from sthl.dsl.nodes import CHILD_FIELDS, Assign, Name, idents
 from sthl.errors import EvalError, SthlError
 from sthl.solver import SolverConfig, solve
 from test_parser_differential import _spans
@@ -106,6 +117,53 @@ def _freeze(statements, seed: int, monkeypatch):
     return frozen, rng.getstate()
 
 
+def _agrees(mine, theirs, versions: dict) -> bool:
+    """Whether `mine`, part of a versioned assignment value, is `theirs`,
+    the same part of the substituting freeze's value: a literal where
+    `theirs` reads no name and no placement, stating exactly the value it
+    evaluates to; a name of an earlier version where `theirs` is that
+    version's copy (`versions`); elsewhere the same node and span, with
+    parts that agree."""
+    value = literal_value(mine)
+    if value is not None:
+        if idents(theirs):
+            return False
+        return repr(value) == repr(walk_oracle._eval_expr(theirs, None))  # reads no context
+    if type(mine) is Name and mine.ident in versions:
+        return theirs is versions[mine.ident]
+    if any(theirs is copy for copy in versions.values()):
+        return False  # a copy of a version where a name of it belongs
+    if type(mine) is not type(theirs) or mine.span != theirs.span:
+        return False
+    parts = CHILD_FIELDS.get(type(mine), ())
+    for f in dataclasses.fields(mine):
+        if f.name in parts:
+            if not _agrees(getattr(mine, f.name), getattr(theirs, f.name), versions):
+                return False
+        elif getattr(mine, f.name) != getattr(theirs, f.name):
+            return False
+    return True
+
+
+def _assert_same_freeze(frozen, expected) -> None:
+    """The module docstring's comparison of the two freezes."""
+    assert len(frozen) == len(expected)
+    last = {s.target: i for i, s in enumerate(expected) if isinstance(s, Assign) and s.prop is None}
+    versions: dict = {}  # version -> the substituting freeze's copy of it
+    for index, (mine, theirs) in enumerate(zip(frozen, expected)):
+        if not isinstance(mine, Assign):
+            assert mine == theirs
+            assert _spans(Program((mine,))) == _spans(Program((theirs,)))
+            continue
+        assert (mine.prop, mine.span) == (theirs.prop, theirs.span)
+        earlier = mine.prop is None and last[theirs.target] != index
+        assert mine.target == (f"{theirs.target}#{index}" if earlier else theirs.target)
+        assert literal_value(mine.value) is not None or idents(theirs.value)
+        assert _agrees(mine.value, theirs.value, versions), (mine, theirs)
+        if mine.prop is None:
+            versions[mine.target] = theirs.value
+
+
 def _counted(run, calls: list[int]):
     """The outcome of one evaluation and the `scene.inside` calls it made."""
     before = calls[0]
@@ -141,8 +199,7 @@ def test_walkers_agree(index, monkeypatch):
         frozen, state = _freeze(program.statements, seed, monkeypatch)
         oracle_rng = random.Random(seed)
         expected = walk_oracle.freeze(program.statements, oracle_rng)
-        assert frozen == expected
-        assert _spans(Program(frozen)) == _spans(Program(expected))
+        _assert_same_freeze(frozen, expected)
         assert state == oracle_rng.getstate()
 
         cs = compile_constraints(typed, seed)
